@@ -1,8 +1,8 @@
-"""JIT plumbing: numba kernels by default, interpreted fallback on demand.
+"""JIT plumbing: numba kernels when numba is installed, interpreted otherwise.
 
-Setting the environment variable CHORDCRIT_NO_JIT=1 (before import) disables
-numba entirely; hot kernels then run through their pure numpy / pure Python
-paths.  `benchmarks/bench_kernels.py` compares the two.
+numba is the optional ``jit`` extra; only the colouring search kernel uses
+it.  Setting the environment variable CHORDCRIT_NO_JIT=1 (before import)
+disables numba entirely, and the kernel then runs interpreted.
 """
 
 import os

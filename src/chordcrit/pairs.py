@@ -1,13 +1,16 @@
-"""Exhaustive chord-pair census and the edge-count ratio.
+"""Chord-pair census and the edge-count ratio.
 
 Counts every unordered pair of distinct chords of the n-cycle by class.
 Crossing plus transverse pairs are exactly the edges of ``gn(n)``; all four
 disjoint classes together are the edges of ``schrijver(n, 2)``, so the ratio
 of the two censuses is the exact edge ratio of the two graphs.
 
-The census at n = 200 touches ~1.9e8 pairs, which is the hot loop of the
-package: a numba kernel walks the pair space in parallel, and a chunked
-numpy broadcast path serves as the fallback (see ``chordcrit._jit``).
+The census counts per chord instead of enumerating pairs: for a chord
+(a, b), the partners that follow it in lexicographic order lie in intervals
+of the cycle, so each class count is a product or a binomial of interval
+lengths.  Summing these over the chord table is O(m) numpy work for the
+m = n(n-3)/2 chords, where enumeration would walk C(m, 2) pairs (~1.9e8 at
+n = 200).  The enumeration survives in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from math import comb
 
 import numpy as np
 
-from ._jit import jit_active, njit, prange
 from .families import InvalidParametersError, stable_subsets
 
 
@@ -58,74 +60,6 @@ class PairCounts:
         )
 
 
-@njit(cache=True, parallel=True)
-def _census_kernel(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    m = lo.shape[0]
-    crossing = 0
-    transverse = 0
-    lateral = 0
-    nested1 = 0
-    intersecting = 0
-    for i in prange(m):
-        a1 = lo[i]
-        b1 = hi[i]
-        for j in range(i + 1, m):
-            a2 = lo[j]
-            b2 = hi[j]
-            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-                intersecting += 1
-            else:
-                if a1 < a2:
-                    a, b, c, d = a1, b1, a2, b2
-                else:
-                    a, b, c, d = a2, b2, a1, b1
-                if c > b:
-                    lateral += 1
-                elif d > b:
-                    crossing += 1
-                elif a == 1:
-                    nested1 += 1
-                else:
-                    transverse += 1
-    out = np.empty(5, dtype=np.int64)
-    out[0] = crossing
-    out[1] = transverse
-    out[2] = lateral
-    out[3] = nested1
-    out[4] = intersecting
-    return out
-
-
-def _census_numpy(lo: np.ndarray, hi: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Vectorized census: broadcast row blocks against the full chord table."""
-    m = lo.shape[0]
-    counts = np.zeros(5, dtype=np.int64)
-    idx = np.arange(m)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        a1 = lo[start:stop, None]
-        b1 = hi[start:stop, None]
-        a2 = lo[None, :]
-        b2 = hi[None, :]
-        upper = idx[None, :] > idx[start:stop, None]
-        shared = (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
-        counts[4] += np.count_nonzero(upper & shared)
-        disjoint = upper & ~shared
-        swap = a2 < a1
-        a = np.where(swap, a2, a1)
-        b = np.where(swap, b2, b1)
-        c = np.where(swap, a1, a2)
-        d = np.where(swap, b1, b2)
-        lateral = disjoint & (c > b)
-        crossing = disjoint & (c < b) & (d > b)
-        nested = disjoint & (c < b) & (d < b)
-        counts[0] += np.count_nonzero(crossing)
-        counts[1] += np.count_nonzero(nested & (a > 1))
-        counts[2] += np.count_nonzero(lateral)
-        counts[3] += np.count_nonzero(nested & (a == 1))
-    return counts
-
-
 def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of all chords of the n-cycle, in vertex (lexicographic) order."""
     chords = stable_subsets(n, 2)
@@ -134,17 +68,43 @@ def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def count_pairs(n: int, force_numpy: bool = False) -> PairCounts:
-    """Exact pair census by enumeration over all chord pairs of the n-cycle."""
+def _nonadjacent_pairs(k: np.ndarray) -> np.ndarray:
+    """Ways to pick 2 non-adjacent points out of k consecutive ones: C(k-1, 2)."""
+    x = np.maximum(k - 1, 0)
+    return x * (x - 1) // 2
+
+
+def count_pairs(n: int) -> PairCounts:
+    """Exact pair census, counted chord by chord over the chord table.
+
+    Each pair is counted once, at its lexicographically smaller chord (a, b),
+    whose later partners (c, d) have c > a, or c = a and d > b.  With
+    ``inside = b-a-1`` points strictly between a and b and ``after = n-b``
+    points after b:
+    - crossing, a < c < b < d: inside * after;
+    - nested, a < c < d < b: 2 non-adjacent points inside, nested-through-1
+      when a = 1 and transverse otherwise;
+    - lateral, b < c < d: 2 non-adjacent points after b;
+    - intersecting: (a, d) with d > b, except (1, n); (b, d) with d >= b+2;
+      and (c, b) with a < c <= b-2.
+    """
     if n < 4:
         raise InvalidParametersError(f"need n >= 4, got n={n}")
-    lo, hi = chord_table(n)
-    if jit_active() and not force_numpy:
-        raw = _census_kernel(lo, hi)
-    else:
-        raw = _census_numpy(lo, hi)
-    counts = PairCounts(n, *(int(x) for x in raw))
-    m = lo.shape[0]
+    a, b = chord_table(n)
+    inside = b - a - 1
+    after = n - b
+    through_1 = a == 1
+    nested = _nonadjacent_pairs(inside)
+    intersecting = (after - through_1) + np.maximum(after - 1, 0) + (inside - 1)
+    counts = PairCounts(
+        n,
+        crossing=int((inside * after).sum()),
+        transverse=int(nested[~through_1].sum()),
+        lateral=int(_nonadjacent_pairs(after).sum()),
+        nested_through_1=int(nested[through_1].sum()),
+        intersecting=int(intersecting.sum()),
+    )
+    m = a.shape[0]
     if counts.total_pairs != comb(m, 2):
         raise AssertionError(
             f"census lost pairs at n={n}: {counts.total_pairs} != C({m},2)"

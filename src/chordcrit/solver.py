@@ -8,10 +8,14 @@ one, and a maximum clique found heuristically is pre-assigned the first
 colours.  Both breaks preserve completeness (any proper colouring can be
 relabelled into canonical form), so a "no" answer is exhaustive.
 
-The kernel runs in slices of a fixed number of backtracks; the wall clock is
-consulted only between slices, which keeps timeout handling cheap and the
-search itself deterministic.  With numba the kernel is compiled; with
-CHORDCRIT_NO_JIT=1 the identical code runs interpreted.
+The kernel runs in slices of a bounded number of backtracks; the wall clock
+is consulted only between slices, which keeps timeout handling cheap and the
+search itself deterministic.  The first slice is small and each slice that
+ends quickly doubles the next one, up to ``backtrack_check_interval``, so a
+budget is overrun by about one short slice whatever the kernel's speed.
+Slices resume the same search, so their sizes change no status, witness or
+backtrack count.  With numba the kernel is compiled; with CHORDCRIT_NO_JIT=1
+the identical code runs interpreted.
 """
 
 from __future__ import annotations
@@ -30,14 +34,19 @@ _SAT = 1
 _UNSAT = 2
 _PAUSED = 0
 
+# Slice sizing: backtracks in the first slice, and the wall time under which
+# a slice is doubled.
+_FIRST_SLICE = 256
+_SLICE_TARGET_S = 0.05
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     time_budget: float = 60.0
     vertex_order: str = "saturation-degree"
     seed: int = 0
-    # Timeout granularity: the wall clock is checked once per this many
-    # backtracks, never per node.
+    # Timeout granularity: the wall clock is checked at least once per this
+    # many backtracks, never per node.
     backtrack_check_interval: int = 200_000
 
     def __post_init__(self) -> None:
@@ -324,12 +333,14 @@ def is_k_colorable(
     state = np.array([q, q - 1, 0, q], dtype=np.int64)
 
     deadline = time.monotonic() + cfg.time_budget
+    slice_size = min(_FIRST_SLICE, cfg.backtrack_check_interval)
     total_backtracks = 0
     while True:
+        started = time.monotonic()
         status, used = _search_slice(
             indptr, indices, k, degree, rank, order_mode, static_seq,
             color, ncc, sat, stack_vertex, stack_color, stack_prev_max,
-            state, cfg.backtrack_check_interval,
+            state, slice_size,
         )
         total_backtracks += int(used)
         if status == _SAT:
@@ -337,8 +348,11 @@ def is_k_colorable(
             return ColorDecision("yes", witness=witness, backtracks=total_backtracks)
         if status == _UNSAT:
             return ColorDecision("no", backtracks=total_backtracks)
-        if time.monotonic() >= deadline:
+        now = time.monotonic()
+        if now >= deadline:
             return ColorDecision("timeout", backtracks=total_backtracks)
+        if now - started < _SLICE_TARGET_S:
+            slice_size = min(2 * slice_size, cfg.backtrack_check_interval)
 
 
 def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResult:

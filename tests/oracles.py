@@ -6,6 +6,8 @@ the library must agree with these on small instances.
 
 from itertools import combinations, product
 
+import numpy as np
+
 from chordcrit.graph import Graph
 
 
@@ -68,6 +70,42 @@ def brute_census(n: int) -> dict[str, int]:
     for i in range(len(chords)):
         for j in range(i + 1, len(chords)):
             counts[brute_pair_class(chords[i], chords[j])] += 1
+    return counts
+
+
+def enumerate_census(n: int) -> dict[str, int]:
+    """The census of ``brute_census``, enumerated over all pairs in numpy.
+
+    Row blocks of the chord list are broadcast against the whole list, so
+    every pair i < j is classified once, as in ``brute_pair_class``.
+    """
+    chords = brute_chords(n)
+    lo = np.array([p[0] for p in chords], dtype=np.int64)
+    hi = np.array([p[1] for p in chords], dtype=np.int64)
+    m = len(chords)
+    idx = np.arange(m)
+    chunk = 256
+    counts = dict.fromkeys(
+        ("crossing", "transverse", "lateral", "nested-through-1", "intersecting"), 0
+    )
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        a1, b1 = lo[start:stop, None], hi[start:stop, None]
+        a2, b2 = lo[None, :], hi[None, :]
+        upper = idx[None, :] > idx[start:stop, None]
+        shared = (a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2)
+        disjoint = upper & ~shared
+        swap = a2 < a1
+        a = np.where(swap, a2, a1)
+        b = np.where(swap, b2, b1)
+        c = np.where(swap, a1, a2)
+        d = np.where(swap, b1, b2)
+        nested = disjoint & (c < b) & (d < b)
+        counts["intersecting"] += int(np.count_nonzero(upper & shared))
+        counts["crossing"] += int(np.count_nonzero(disjoint & (c < b) & (d > b)))
+        counts["transverse"] += int(np.count_nonzero(nested & (a > 1)))
+        counts["lateral"] += int(np.count_nonzero(disjoint & (c > b)))
+        counts["nested-through-1"] += int(np.count_nonzero(nested & (a == 1)))
     return counts
 
 

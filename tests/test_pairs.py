@@ -4,17 +4,19 @@ from math import comb
 import pytest
 
 from chordcrit.families import InvalidParametersError
-from chordcrit.pairs import (
-    PairCounts,
-    census_table,
-    chord_table,
-    count_pairs,
-    edge_ratio,
-    _census_kernel,
-    _census_numpy,
-)
+from chordcrit.pairs import census_table, count_pairs, edge_ratio
 
-from oracles import brute_census, brute_gn_edges, brute_sg2_edges
+from oracles import brute_census, brute_gn_edges, brute_sg2_edges, enumerate_census
+
+
+def _census_dict(c):
+    return {
+        "crossing": c.crossing,
+        "transverse": c.transverse,
+        "lateral": c.lateral,
+        "nested-through-1": c.nested_through_1,
+        "intersecting": c.intersecting,
+    }
 
 
 def test_census_n5():
@@ -30,12 +32,7 @@ def test_census_n6():
 @pytest.mark.parametrize("n", range(4, 13))
 def test_census_matches_enumeration_oracle(n):
     c = count_pairs(n)
-    expected = brute_census(n)
-    assert c.crossing == expected["crossing"]
-    assert c.transverse == expected["transverse"]
-    assert c.lateral == expected["lateral"]
-    assert c.nested_through_1 == expected["nested-through-1"]
-    assert c.intersecting == expected["intersecting"]
+    assert _census_dict(c) == brute_census(n)
     assert c.gn_edges == len(brute_gn_edges(n))
     assert c.sg_edges == brute_sg2_edges(n)
 
@@ -45,10 +42,22 @@ def test_crossing_count_is_binomial(n):
     assert count_pairs(n).crossing == comb(n, 4)
 
 
-@pytest.mark.parametrize("n", [6, 9, 14, 21])
-def test_kernel_paths_agree(n):
-    lo, hi = chord_table(n)
-    assert list(_census_kernel(lo, hi)) == list(_census_numpy(lo, hi, chunk=7))
+@pytest.mark.parametrize("n", range(4, 61))
+def test_census_matches_vectorized_enumerator(n):
+    assert _census_dict(count_pairs(n)) == enumerate_census(n)
+
+
+def test_census_closed_form_identities():
+    # Each identity follows from the class definitions, independently of both
+    # the per-chord count and the enumerators.
+    for n in range(5, 201):
+        c = count_pairs(n)
+        assert c.nested_through_1 == comb(n - 3, 3), n
+        assert c.lateral == comb(n - 2, 4), n
+        assert c.intersecting == n * comb(n - 3, 2), n
+        assert c.transverse == (
+            comb(n, 4) - comb(n - 1, 3) - comb(n - 3, 2) - comb(n - 3, 3)
+        ), n
 
 
 def test_total_pair_count():

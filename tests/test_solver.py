@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from chordcrit.families import gn, kneser, mycielski_iter
@@ -117,6 +119,16 @@ def test_timeout_is_distinct_from_no():
     cfg = SolverConfig(time_budget=1e-9, backtrack_check_interval=1)
     out = is_k_colorable(gn(8), 5, cfg)
     assert out.status == "timeout"
+
+
+def test_timeout_overshoot_is_bounded():
+    # G_12 is not 9-colourable, and its proof needs far more than the 200k
+    # backtracks of the default check interval.
+    g = gn(12)
+    start = time.monotonic()
+    out = is_k_colorable(g, 9, SolverConfig(time_budget=0.01))
+    assert out.status == "timeout"
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("n", range(4, 8))
