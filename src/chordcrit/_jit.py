@@ -19,7 +19,7 @@ JIT_ENABLED = False
 
 if _jit_requested():
     try:
-        from numba import njit, prange  # noqa: F401
+        from numba import njit  # noqa: F401
 
         JIT_ENABLED = True
     except ImportError:
@@ -35,8 +35,6 @@ if not JIT_ENABLED:
             return func
 
         return wrap
-
-    prange = range
 
 
 def jit_active() -> bool:

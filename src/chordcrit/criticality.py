@@ -15,6 +15,7 @@ deleted endpoints monochromatic), and can cross-check with the exact solver.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,7 @@ from .families import (
     Chord,
     InvalidParametersError,
     PairClass,
+    chord_index,
     chord_label,
     classify_pair,
     gn,
@@ -75,10 +77,6 @@ def select_case(n: int, p: Chord, q: Chord) -> CaseSelection:
         (a, b), (c, d) = (p, q) if p[0] < q[0] else (q, p)
         return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
     raise NotAnEdgeError(f"chords {p} and {q} form a {cls.value} pair, not an edge")
-
-
-def _chord_ids(n: int) -> dict[Chord, int]:
-    return {p: i for i, p in enumerate(gn_chords(n))}
 
 
 def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
@@ -162,7 +160,7 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
         A = tuple(sorted({1, sel.a, sel.b, sel.c, sel.d}))
 
     assignment = min_based_coloring(n, set(A))
-    ids = _chord_ids(n)
+    ids = chord_index(n)
     specials: dict[str, int] = {}
     for idx, raw in enumerate(_special_classes(sel, n), start=1):
         color_id = n + idx
@@ -258,21 +256,20 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return eu, ev
 
 
-def _certify_edges(n: int, edge_list: list[tuple[Chord, Chord]]) -> list[EdgeCertRow]:
-    g = gn(n)
-    eu, ev = _edge_arrays(g)
-    chords = gn_chords(n)
-    rows = []
-    for p, q in edge_list:
-        rows.append(_certify_one(n, p, q, g, eu, ev, len(chords)))
-    return rows
+def _certify_edges(
+    n: int,
+    edge_list: list[tuple[Chord, Chord]],
+    eu: np.ndarray,
+    ev: np.ndarray,
+) -> list[EdgeCertRow]:
+    n_chords = len(gn_chords(n))
+    return [_certify_one(n, p, q, eu, ev, n_chords) for p, q in edge_list]
 
 
 def _certify_one(
     n: int,
     p: Chord,
     q: Chord,
-    g: Graph,
     eu: np.ndarray,
     ev: np.ndarray,
     n_chords: int,
@@ -288,7 +285,7 @@ def _certify_one(
         for v, c in cert.assignment.items():
             colors[v] = c
         mono = colors[eu] == colors[ev]
-        ids = _chord_ids(n)
+        ids = chord_index(n)
         e_u, e_v = sorted((ids[cert.edge_chords[0]], ids[cert.edge_chords[1]]))
         deleted = (eu == e_u) & (ev == e_v)
         proper = bool(not np.any(mono & ~deleted))
@@ -317,26 +314,31 @@ def verify_edge_criticality(
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    The sweep is independent per edge, so it can be partitioned across
-    worker processes; row order follows the edge order of the graph.
+    The sweep is independent per edge, so it can be dealt round-robin to at
+    most one worker process per CPU; row order follows the edge order of the
+    graph.
     """
+    if workers < 1:
+        raise InvalidParametersError(f"workers must be >= 1, got {workers}")
     g = gn(n)
     chords = gn_chords(n)
     edge_list = [(chords[e.u], chords[e.v]) for e in g.edges()]
+    eu, ev = _edge_arrays(g)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(edge_list) >= 64:
-        chunks = [edge_list[i::workers] for i in range(workers)]
+        rows: list[EdgeCertRow | None] = [None] * len(edge_list)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_certify_edges, [n] * workers, chunks))
-        by_edge = {}
-        for part in parts:
-            for row in part:
-                by_edge[row.edge] = row
-        rows = [
-            by_edge[",".join(chord_label(t) for t in sorted(pair))]
-            for pair in edge_list
-        ]
+            parts = pool.map(
+                _certify_edges,
+                [n] * workers,
+                [edge_list[i::workers] for i in range(workers)],
+                [eu] * workers,
+                [ev] * workers,
+            )
+            for i, part in enumerate(parts):
+                rows[i::workers] = part
     else:
-        rows = _certify_edges(n, edge_list)
+        rows = _certify_edges(n, edge_list, eu, ev)
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(g, n - 3, cfg).status

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .families import Chord, chord_label, validate_chord
+from .families import Chord, chord_label, gn_chords, validate_chord
 from .graph import Coloring
 
 
@@ -84,7 +84,5 @@ def certificate_classes(
     n: int, assignment: Coloring
 ) -> dict[Chord, int]:
     """Chord-keyed colour classes from a vertex-id-keyed colouring of gn(n)."""
-    from .families import gn_chords
-
     chords = gn_chords(n)
     return {chords[v]: c for v, c in assignment.items()}

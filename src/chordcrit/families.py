@@ -19,7 +19,9 @@ Families built here:
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .graph import Graph, build_graph
 
@@ -165,11 +167,27 @@ def schrijver(n: int, k: int) -> Graph:
     return build_graph([subset_label(v) for v in verts], edges, n_hint=n)
 
 
-def gn_chords(n: int) -> list[Chord]:
-    """Vertex list of gn(n): stable 2-subsets in lexicographic order."""
+# Chord lists are kept for a few n only: an edge sweep needs one n, the
+# homomorphism chain two consecutive ones, and n comes from user input.
+_CHORD_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=_CHORD_CACHE_SIZE)
+def gn_chords(n: int) -> tuple[Chord, ...]:
+    """Vertex list of gn(n): stable 2-subsets in lexicographic order.
+
+    This order fixes the vertex ids of gn(n) for every module; the tuple is
+    shared by all callers while its n stays in the cache.
+    """
     if n < 4:
         raise InvalidParametersError(f"need n >= 4, got n={n}")
-    return [(a, b) for a, b in stable_subsets(n, 2)]
+    return tuple((a, b) for a, b in stable_subsets(n, 2))
+
+
+@lru_cache(maxsize=_CHORD_CACHE_SIZE)
+def chord_index(n: int) -> MappingProxyType[Chord, int]:
+    """Read-only map from each chord of gn(n) to its vertex id."""
+    return MappingProxyType({p: i for i, p in enumerate(gn_chords(n))})
 
 
 def gn(n: int) -> Graph:

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .families import Chord, InvalidParametersError, gn, gn_chords, mycielski
+from .families import (
+    Chord,
+    InvalidParametersError,
+    chord_index,
+    gn,
+    gn_chords,
+    mycielski,
+)
 from .graph import Edge, Graph
 from .solver import SolverConfig, chromatic_number
 from . import families
@@ -101,10 +108,8 @@ def build_h(n: int) -> VertexMap:
     """The explicit map from the expansion of gn(n-1) into gn(n), by ids."""
     if n < 5:
         raise InvalidParametersError(f"need n >= 5, got n={n}")
-    target_ids = {p: i for i, p in enumerate(gn_chords(n))}
-    mapping = tuple(
-        target_ids[h_image(v, n)] for v in mycielski_vertices(n)
-    )
+    target_ids = chord_index(n)
+    mapping = tuple(target_ids[h_image(v, n)] for v in mycielski_vertices(n))
     return VertexMap(domain=f"M(G_{n - 1})", codomain=f"G_{n}", mapping=mapping)
 
 

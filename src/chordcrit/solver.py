@@ -1,12 +1,14 @@
 """Exact k-colourability and chromatic number by complete backtracking.
 
-The search colours one vertex per depth, picking the uncoloured vertex of
-maximum saturation (distinct neighbour colours), breaking ties by degree and
-then by a seed-derived rank.  Colour symmetry is broken canonically: a vertex
-may only reuse a colour already on the board or introduce the single next new
-one, and a maximum clique found heuristically is pre-assigned the first
-colours.  Both breaks preserve completeness (any proper colouring can be
-relabelled into canonical form), so a "no" answer is exhaustive.
+There is one vertex order.  The search colours one vertex per depth,
+picking the uncoloured vertex of maximum saturation (distinct neighbour
+colours), breaking ties by degree and then by a seed-derived rank; the greedy
+upper bound picks the same way but breaks the last ties by vertex id.  Colour
+symmetry is broken canonically: a vertex may only reuse a colour already on
+the board or introduce the single next new one, and a maximum clique found
+heuristically is pre-assigned the first colours.  Both breaks preserve
+completeness (any proper colouring can be relabelled into canonical form), so
+a "no" answer is exhaustive.
 
 The kernel runs in slices of a bounded number of backtracks; the wall clock
 is consulted only between slices, which keeps timeout handling cheap and the
@@ -28,8 +30,6 @@ import numpy as np
 from ._jit import njit
 from .graph import Coloring, Graph, count_colors
 
-VERTEX_ORDERS = ("saturation-degree", "degeneracy", "input")
-
 _SAT = 1
 _UNSAT = 2
 _PAUSED = 0
@@ -43,17 +43,14 @@ _SLICE_TARGET_S = 0.05
 @dataclass(frozen=True)
 class SolverConfig:
     time_budget: float = 60.0
-    vertex_order: str = "saturation-degree"
     seed: int = 0
     # Timeout granularity: the wall clock is checked at least once per this
     # many backtracks, never per node.
     backtrack_check_interval: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also rejects NaN
             raise ValueError("time_budget must be positive")
-        if self.vertex_order not in VERTEX_ORDERS:
-            raise ValueError(f"vertex_order must be one of {VERTEX_ORDERS}")
         if self.backtrack_check_interval < 1:
             raise ValueError("backtrack_check_interval must be >= 1")
 
@@ -78,9 +75,9 @@ class ChromaticResult:
 
 
 @njit(cache=True)
-def _search_slice(indptr, indices, k, degree, rank, order_mode, static_seq,
-                  color, ncc, sat, stack_vertex, stack_color, stack_prev_max,
-                  state, max_backtracks):
+def _search_slice(indptr, indices, k, degree, rank, color, ncc, sat,
+                  stack_vertex, stack_color, stack_prev_max, state,
+                  max_backtracks):
     """Resumable exact-search slice; returns (status, backtracks_used).
 
     state = [depth, max_used, mode, fixed_prefix].  mode 0 selects a vertex
@@ -102,28 +99,21 @@ def _search_slice(indptr, indices, k, degree, rank, order_mode, static_seq,
                 state[2] = mode
                 return _SAT, backtracks
             v = -1
-            if order_mode == 0:
-                best_sat = -1
-                best_deg = -1
-                best_rank = 0
-                for u in range(n):
-                    if color[u] < 0:
-                        su = sat[u]
-                        du = degree[u]
-                        if (su > best_sat
-                                or (su == best_sat and du > best_deg)
-                                or (su == best_sat and du == best_deg
-                                    and rank[u] < best_rank)):
-                            v = u
-                            best_sat = su
-                            best_deg = du
-                            best_rank = rank[u]
-            else:
-                for idx in range(n):
-                    u = static_seq[idx]
-                    if color[u] < 0:
+            best_sat = -1
+            best_deg = -1
+            best_rank = 0
+            for u in range(n):
+                if color[u] < 0:
+                    su = sat[u]
+                    du = degree[u]
+                    if (su > best_sat
+                            or (su == best_sat and du > best_deg)
+                            or (su == best_sat and du == best_deg
+                                and rank[u] < best_rank)):
                         v = u
-                        break
+                        best_sat = su
+                        best_deg = du
+                        best_rank = rank[u]
             stack_vertex[depth] = v
             stack_prev_max[depth] = max_used
             start_c = 0
@@ -187,52 +177,22 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Vertices by repeated minimum-degree removal, reversed for colouring."""
-    degrees = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    removal: list[int] = []
-    for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not removed[u]),
-            key=lambda u: (degrees[u], u),
-        )
-        removed[v] = True
-        removal.append(v)
-        for w in g.adj[v]:
-            if not removed[w]:
-                degrees[w] -= 1
-    removal.reverse()
-    return removal
-
-
-def greedy_bound(g: Graph, order: str = "saturation-degree") -> Coloring:
-    """Proper colouring by sequential first fit along the chosen order."""
-    if order not in VERTEX_ORDERS:
-        raise ValueError(f"order must be one of {VERTEX_ORDERS}")
+def greedy_bound(g: Graph) -> Coloring:
+    """Proper colouring by first fit, most saturated uncoloured vertex first."""
     coloring: Coloring = {}
-    if order == "saturation-degree":
-        neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-        for _ in range(g.n):
-            v = max(
-                (u for u in range(g.n) if u not in coloring),
-                key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-            )
-            c = 0
-            while c in neighbor_colors[v]:
-                c += 1
-            coloring[v] = c
-            for w in g.adj[v]:
-                if w not in coloring:
-                    neighbor_colors[w].add(c)
-        return coloring
-    seq = degeneracy_order(g) if order == "degeneracy" else list(range(g.n))
-    for v in seq:
-        used = {coloring[w] for w in g.adj[v] if w in coloring}
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if u not in coloring),
+            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+        )
         c = 0
-        while c in used:
+        while c in neighbor_colors[v]:
             c += 1
         coloring[v] = c
+        for w in g.adj[v]:
+            if w not in coloring:
+                neighbor_colors[w].add(c)
     return coloring
 
 
@@ -301,13 +261,6 @@ def is_k_colorable(
     degree = np.diff(indptr).astype(np.int64)
     rng = np.random.default_rng(cfg.seed)
     rank = np.argsort(rng.permutation(n)).astype(np.int64)
-    if cfg.vertex_order == "saturation-degree":
-        order_mode = 0
-        static_seq = np.zeros(n, dtype=np.int64)
-    else:
-        order_mode = 1
-        seq = degeneracy_order(g) if cfg.vertex_order == "degeneracy" else list(range(n))
-        static_seq = np.array(seq, dtype=np.int64)
 
     color = np.full(n, -1, dtype=np.int64)
     ncc = np.zeros(n * k, dtype=np.int64)
@@ -338,9 +291,8 @@ def is_k_colorable(
     while True:
         started = time.monotonic()
         status, used = _search_slice(
-            indptr, indices, k, degree, rank, order_mode, static_seq,
-            color, ncc, sat, stack_vertex, stack_color, stack_prev_max,
-            state, slice_size,
+            indptr, indices, k, degree, rank, color, ncc, sat,
+            stack_vertex, stack_color, stack_prev_max, state, slice_size,
         )
         total_backtracks += int(used)
         if status == _SAT:
@@ -367,7 +319,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
         return ChromaticResult(0, {}, (), "exact", 0, 0)
     clique = clique_bound(g)
     lower = max(1, len(clique))
-    witness = greedy_bound(g, cfg.vertex_order)
+    witness = greedy_bound(g)
     upper = count_colors(witness)
     deadline = time.monotonic() + cfg.time_budget
 
@@ -380,7 +332,6 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
             )
         step_cfg = SolverConfig(
             time_budget=remaining,
-            vertex_order=cfg.vertex_order,
             seed=cfg.seed,
             backtrack_check_interval=cfg.backtrack_check_interval,
         )

@@ -66,6 +66,25 @@ def test_verify_edge_critical_solver_timeout_exit_code(capsys):
     assert "not 9-colourable: timeout" in out
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_edge_critical_workers_below_one_is_param_error(capsys, workers):
+    code, out, err = run(
+        capsys, "verify", "edge-critical", "--n", "6", "--workers", workers
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "workers" in err
+
+
+def test_verify_nan_budget_is_param_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "chromatic", "--n", "5", "--budget-seconds", "nan"
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "time_budget" in err
+
+
 def test_verify_chromatic(capsys):
     code, out, _ = run(capsys, "verify", "chromatic", "--n", "7")
     assert code == EXIT_OK

@@ -1,7 +1,9 @@
+import os
 from itertools import combinations
 
 import pytest
 
+from chordcrit import criticality, families
 from chordcrit.criticality import (
     CriticalCase,
     NotAnEdgeError,
@@ -13,6 +15,7 @@ from chordcrit.criticality import (
     verify_vertex_criticality,
 )
 from chordcrit.families import (
+    InvalidParametersError,
     PairClass,
     classify_pair,
     gn,
@@ -269,6 +272,60 @@ def test_parallel_sweep_matches_sequential():
     seq = verify_edge_criticality(10, workers=1)
     par = verify_edge_criticality(10, workers=2)
     assert par.rows == seq.rows
+
+
+class RecordingExecutor:
+    """In-process stand-in for ProcessPoolExecutor: records its size and
+    runs the mapped calls in this process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_pool_is_capped_at_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(criticality, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingExecutor.sizes = []
+    seq = verify_edge_criticality(10, workers=1)
+    assert RecordingExecutor.sizes == []
+    for workers in ((cpus or 1) + 1, 5000):
+        assert verify_edge_criticality(10, workers=workers).rows == seq.rows
+    expected = [cpus] * 2 if cpus and cpus > 1 else []
+    assert RecordingExecutor.sizes == expected
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(InvalidParametersError):
+        verify_edge_criticality(6, workers=workers)
+
+
+def test_chord_list_built_once_per_sweep(monkeypatch):
+    calls = []
+    original = families.stable_subsets
+
+    def counting(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(families, "stable_subsets", counting)
+    families.gn_chords.cache_clear()
+    families.chord_index.cache_clear()
+    report = verify_edge_criticality(9)
+    assert report.all_pass and len(report.rows) > 1
+    assert calls == [(9, 2)]
 
 
 def test_vertex_criticality_c5():

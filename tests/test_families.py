@@ -3,6 +3,7 @@ import pytest
 from chordcrit.families import (
     InvalidParametersError,
     PairClass,
+    chord_index,
     chord_label,
     classify_pair,
     complete_pair,
@@ -142,6 +143,19 @@ def test_gn_is_spanning_subgraph_of_schrijver(n):
     sg = schrijver(n, 2)
     assert g.labels == sg.labels
     assert all(sg.has_edge(e.u, e.v) for e in g.edges())
+
+
+def test_chord_index_matches_chord_order():
+    for n in range(4, 31):
+        chords = gn_chords(n)
+        assert isinstance(chords, tuple)
+        assert dict(chord_index(n)) == {p: i for i, p in enumerate(chords)}
+
+
+def test_chord_index_is_read_only():
+    with pytest.raises(TypeError):
+        chord_index(6)[(1, 3)] = 5
+    assert chord_index(6)[(1, 3)] == 0
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -8,7 +8,6 @@ from chordcrit.solver import (
     SolverConfig,
     chromatic_number,
     clique_bound,
-    degeneracy_order,
     greedy_bound,
     is_k_colorable,
     render_witness,
@@ -18,22 +17,16 @@ from helpers import complete_graph, cycle_graph, edgeless_graph, small_corpus
 from oracles import brute_chromatic, brute_is_k_colorable
 
 
-@pytest.mark.parametrize("order", ["saturation-degree", "degeneracy", "input"])
-def test_greedy_bound_is_proper(order):
+def test_greedy_bound_is_proper():
     for g in (gn(6), cycle_graph(7), kneser(5, 2)):
-        c = greedy_bound(g, order)
+        c = greedy_bound(g)
         assert is_proper_coloring(g, c).proper
 
 
 def test_greedy_bound_edge_cases():
     assert count_colors(greedy_bound(edgeless_graph(4))) == 1
-    assert count_colors(greedy_bound(complete_graph(4), "input")) == 4
-    assert count_colors(greedy_bound(gn(6), "degeneracy")) <= 6
-
-
-def test_greedy_bound_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        greedy_bound(gn(5), "random")
+    assert count_colors(greedy_bound(complete_graph(4))) == 4
+    assert count_colors(greedy_bound(gn(6))) <= 6
 
 
 def test_clique_bound_examples():
@@ -53,12 +46,6 @@ def test_clique_bound_returns_actual_clique():
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
                 assert g.has_edge(u, v)
-
-
-def test_degeneracy_order_is_permutation():
-    g = gn(7)
-    order = degeneracy_order(g)
-    assert sorted(order) == list(range(g.n))
 
 
 def test_is_k_colorable_odd_cycle():
@@ -192,15 +179,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(time_budget=0)
     with pytest.raises(ValueError):
-        SolverConfig(vertex_order="best-first")
+        SolverConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(backtrack_check_interval=0)
-
-
-@pytest.mark.parametrize("order", ["saturation-degree", "degeneracy", "input"])
-def test_vertex_orders_agree_on_chi(order):
-    cfg = SolverConfig(vertex_order=order)
-    assert chromatic_number(gn(6), cfg).chi == 4
 
 
 def test_render_witness():
