@@ -1,42 +1,14 @@
-"""JIT plumbing: numba kernels when numba is installed, interpreted otherwise.
+"""Leftover names of the retired numba JIT.
 
-numba is the optional ``jit`` extra; only the colouring search kernel uses
-it.  Setting the environment variable CHORDCRIT_NO_JIT=1 (before import)
-disables numba entirely, and the kernel then runs interpreted.
+No chordcrit code is compiled: the colouring search runs on plain Python
+lists.  This module stays only because the benchmark's ``environment`` line
+(``perfbench/run.py``) still reads ``NO_JIT_ENV`` and ``jit_active()``; it
+goes with the next change to the benchmark.
 """
-
-import os
 
 NO_JIT_ENV = "CHORDCRIT_NO_JIT"
 
 
-def _jit_requested() -> bool:
-    flag = os.environ.get(NO_JIT_ENV, "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
-
-
-JIT_ENABLED = False
-
-if _jit_requested():
-    try:
-        from numba import njit  # noqa: F401
-
-        JIT_ENABLED = True
-    except ImportError:
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-    # Passthrough decorator: the decorated function runs interpreted.
-    def njit(*args, **kwargs):  # noqa: ANN001
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
 def jit_active() -> bool:
-    """True when kernels are numba-compiled in this process."""
-    return JIT_ENABLED
+    """Always False: there are no compiled kernels."""
+    return False

@@ -90,9 +90,10 @@ def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
         raise InvalidParametersError(f"A must be a subset of [{n}]")
     coloring: Coloring = {}
     for i, (x, y) in enumerate(gn_chords(n)):
-        if x in A and y in A:
-            continue
-        coloring[i] = min(e for e in (x, y) if e not in A)
+        if x not in A:  # chords are stored with x < y
+            coloring[i] = x
+        elif y not in A:
+            coloring[i] = y
     return coloring
 
 

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .families import InvalidParametersError, stable_subsets
+from .families import InvalidParametersError
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,23 @@ class PairCounts:
 
 
 def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of all chords of the n-cycle, in vertex (lexicographic) order."""
-    chords = stable_subsets(n, 2)
-    lo = np.array([p[0] for p in chords], dtype=np.int64)
-    hi = np.array([p[1] for p in chords], dtype=np.int64)
+    """Endpoints of all chords of the n-cycle, in vertex (lexicographic) order.
+
+    Chord (a, b) runs over a = 1..n-2 and b = a+2..last(a), where
+    last(1) = n-1 (1 and n are adjacent) and last(a) = n otherwise; the
+    arrays are built group by group of equal a, without listing tuples.
+    """
+    if n < 4:
+        raise InvalidParametersError(f"need n >= 4, got n={n}")
+    a = np.arange(1, n - 1, dtype=np.int64)
+    last = np.full_like(a, n)
+    last[0] = n - 1
+    counts = last - a - 1
+    lo = np.repeat(a, counts)
+    starts = np.cumsum(counts) - counts
+    # Position of each chord within its group of equal a.
+    offset = np.arange(lo.shape[0], dtype=np.int64) - np.repeat(starts, counts)
+    hi = lo + 2 + offset
     return lo, hi
 
 

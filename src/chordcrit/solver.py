@@ -16,8 +16,9 @@ search itself deterministic.  The first slice is small and each slice that
 ends quickly doubles the next one, up to ``backtrack_check_interval``, so a
 budget is overrun by about one short slice whatever the kernel's speed.
 Slices resume the same search, so their sizes change no status, witness or
-backtrack count.  With numba the kernel is compiled; with CHORDCRIT_NO_JIT=1
-the identical code runs interpreted.
+backtrack count.  The kernel runs interpreted on plain Python lists (one
+neighbour tuple and one neighbour-colour-count list per vertex), which index
+without the scalar boxing that numpy arrays cost in an interpreted loop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jit import njit
 from .graph import Coloring, Graph, count_colors
 
 _SAT = 1
@@ -74,29 +74,24 @@ class ChromaticResult:
     upper_bound: int
 
 
-@njit(cache=True)
-def _search_slice(indptr, indices, k, degree, rank, color, ncc, sat,
+def _search_slice(nbrs, k, degree, rank, color, ncc, sat,
                   stack_vertex, stack_color, stack_prev_max, state,
                   max_backtracks):
     """Resumable exact-search slice; returns (status, backtracks_used).
 
-    state = [depth, max_used, mode, fixed_prefix].  mode 0 selects a vertex
-    for the current depth, mode 1 advances the colour of the vertex already
-    on the stack.  Backtracking below fixed_prefix (the pre-assigned clique)
-    proves unsatisfiability.
+    nbrs[v] is v's neighbour tuple and ncc[v][c] the number of v's neighbours
+    coloured c.  state = [depth, max_used, mode, fixed_prefix].  mode 0
+    selects a vertex for the current depth, mode 1 advances the colour of
+    the vertex already on the stack.  Backtracking below fixed_prefix (the
+    pre-assigned clique) proves unsatisfiability.
     """
-    n = color.shape[0]
-    depth = state[0]
-    max_used = state[1]
-    mode = state[2]
-    fixed = state[3]
+    n = len(color)
+    depth, max_used, mode, fixed = state
     backtracks = 0
     while True:
         if mode == 0:
             if depth == n:
-                state[0] = depth
-                state[1] = max_used
-                state[2] = mode
+                state[:3] = depth, max_used, mode
                 return _SAT, backtracks
             v = -1
             best_sat = -1
@@ -105,11 +100,11 @@ def _search_slice(indptr, indices, k, degree, rank, color, ncc, sat,
             for u in range(n):
                 if color[u] < 0:
                     su = sat[u]
+                    if su < best_sat:
+                        continue
                     du = degree[u]
-                    if (su > best_sat
-                            or (su == best_sat and du > best_deg)
-                            or (su == best_sat and du == best_deg
-                                and rank[u] < best_rank)):
+                    if (su > best_sat or du > best_deg
+                            or (du == best_deg and rank[u] < best_rank)):
                         v = u
                         best_sat = su
                         best_deg = du
@@ -119,26 +114,23 @@ def _search_slice(indptr, indices, k, degree, rank, color, ncc, sat,
             start_c = 0
         else:
             if depth < fixed:
-                state[0] = depth
-                state[1] = max_used
-                state[2] = mode
+                state[:3] = depth, max_used, mode
                 return _UNSAT, backtracks
             v = stack_vertex[depth]
             c_old = stack_color[depth]
             color[v] = -1
-            for p in range(indptr[v], indptr[v + 1]):
-                nb = indices[p]
-                ncc[nb * k + c_old] -= 1
-                if ncc[nb * k + c_old] == 0:
+            for nb in nbrs[v]:
+                counts = ncc[nb]
+                counts[c_old] -= 1
+                if counts[c_old] == 0:
                     sat[nb] -= 1
             max_used = stack_prev_max[depth]
             start_c = c_old + 1
-        limit = max_used + 1
-        if limit > k - 1:
-            limit = k - 1
+        limit = min(max_used + 1, k - 1)
+        counts = ncc[v]
         c = -1
         for cc in range(start_c, limit + 1):
-            if ncc[v * k + cc] == 0:
+            if counts[cc] == 0:
                 c = cc
                 break
         if c < 0:
@@ -146,35 +138,20 @@ def _search_slice(indptr, indices, k, degree, rank, color, ncc, sat,
             mode = 1
             backtracks += 1
             if backtracks >= max_backtracks:
-                state[0] = depth
-                state[1] = max_used
-                state[2] = mode
+                state[:3] = depth, max_used, mode
                 return _PAUSED, backtracks
         else:
             color[v] = c
             stack_color[depth] = c
-            for p in range(indptr[v], indptr[v + 1]):
-                nb = indices[p]
-                if ncc[nb * k + c] == 0:
+            for nb in nbrs[v]:
+                counts = ncc[nb]
+                if counts[c] == 0:
                     sat[nb] += 1
-                ncc[nb * k + c] += 1
+                counts[c] += 1
             if c > max_used:
                 max_used = c
             depth += 1
             mode = 0
-
-
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + g.degree(v)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    pos = 0
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            indices[pos] = w
-            pos += 1
-    return indptr, indices
 
 
 def greedy_bound(g: Graph) -> Coloring:
@@ -257,17 +234,17 @@ def is_k_colorable(
     if len(clique) > k:
         return ColorDecision("no")
 
-    indptr, indices = _csr(g)
-    degree = np.diff(indptr).astype(np.int64)
+    nbrs = [g.neighbors(v) for v in range(n)]
+    degree = [len(nb) for nb in nbrs]
     rng = np.random.default_rng(cfg.seed)
-    rank = np.argsort(rng.permutation(n)).astype(np.int64)
+    rank = np.argsort(rng.permutation(n)).tolist()
 
-    color = np.full(n, -1, dtype=np.int64)
-    ncc = np.zeros(n * k, dtype=np.int64)
-    sat = np.zeros(n, dtype=np.int64)
-    stack_vertex = np.zeros(n, dtype=np.int64)
-    stack_color = np.zeros(n, dtype=np.int64)
-    stack_prev_max = np.zeros(n, dtype=np.int64)
+    color = [-1] * n
+    ncc = [[0] * k for _ in range(n)]
+    sat = [0] * n
+    stack_vertex = [0] * n
+    stack_color = [0] * n
+    stack_prev_max = [0] * n
 
     # Pre-assign the clique to colours 0..q-1; backtracking below this
     # prefix is unsatisfiability.
@@ -278,12 +255,12 @@ def is_k_colorable(
         stack_color[depth] = c
         stack_prev_max[depth] = c - 1
         color[v] = c
-        for w in g.adj[v]:
-            if ncc[w * k + c] == 0:
+        for w in nbrs[v]:
+            if ncc[w][c] == 0:
                 sat[w] += 1
-            ncc[w * k + c] += 1
+            ncc[w][c] += 1
     q = len(seed_clique)
-    state = np.array([q, q - 1, 0, q], dtype=np.int64)
+    state = [q, q - 1, 0, q]
 
     deadline = time.monotonic() + cfg.time_budget
     slice_size = min(_FIRST_SLICE, cfg.backtrack_check_interval)
@@ -291,12 +268,12 @@ def is_k_colorable(
     while True:
         started = time.monotonic()
         status, used = _search_slice(
-            indptr, indices, k, degree, rank, color, ncc, sat,
+            nbrs, k, degree, rank, color, ncc, sat,
             stack_vertex, stack_color, stack_prev_max, state, slice_size,
         )
-        total_backtracks += int(used)
+        total_backtracks += used
         if status == _SAT:
-            witness = {v: int(color[v]) for v in range(n)}
+            witness = dict(enumerate(color))
             return ColorDecision("yes", witness=witness, backtracks=total_backtracks)
         if status == _UNSAT:
             return ColorDecision("no", backtracks=total_backtracks)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
-from chordcrit.families import InvalidParametersError
-from chordcrit.pairs import census_table, count_pairs, edge_ratio
+from chordcrit.families import InvalidParametersError, gn_chords
+from chordcrit.pairs import census_table, chord_table, count_pairs, edge_ratio
 
 from oracles import brute_census, brute_gn_edges, brute_sg2_edges, enumerate_census
 
@@ -47,6 +48,15 @@ def test_census_matches_vectorized_enumerator(n):
     assert _census_dict(count_pairs(n)) == enumerate_census(n)
 
 
+def test_chord_table_matches_gn_chords():
+    for n in [*range(4, 81), 200]:
+        lo, hi = chord_table(n)
+        chords = np.array(gn_chords(n), dtype=np.int64)
+        assert lo.dtype == hi.dtype == np.int64
+        np.testing.assert_array_equal(lo, chords[:, 0], err_msg=str(n))
+        np.testing.assert_array_equal(hi, chords[:, 1], err_msg=str(n))
+
+
 def test_census_closed_form_identities():
     # Each identity follows from the class definitions, independently of both
     # the per-chord count and the enumerators.
@@ -82,6 +92,8 @@ def test_edge_ratio_approaches_two_thirds_from_above():
 def test_invalid_parameters():
     with pytest.raises(InvalidParametersError):
         count_pairs(3)
+    with pytest.raises(InvalidParametersError):
+        chord_table(3)
     with pytest.raises(InvalidParametersError):
         edge_ratio(4)
 

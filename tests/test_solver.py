@@ -1,8 +1,9 @@
+import hashlib
 import time
 
 import pytest
 
-from chordcrit.families import gn, kneser, mycielski_iter
+from chordcrit.families import gn, kneser, mycielski_iter, schrijver
 from chordcrit.graph import count_colors, delete_edge, is_proper_coloring
 from chordcrit.solver import (
     SolverConfig,
@@ -188,3 +189,59 @@ def test_render_witness():
     g = gn(4)
     text = render_witness(g, {0: 0, 1: 1})
     assert text == "13 0\n24 1\n"
+
+
+# (family, n, k, seed) -> (status, backtracks, sha256 of the sorted witness),
+# recorded from the numpy search kernel that the list-based one replaced.
+# Any change to the vertex pick, the colour order, the clique pre-assignment
+# or the backtrack accounting shows up here.
+PINNED_TRACES = {
+    ("gn", 5, 2, 0): ("no", 3, None),
+    ("gn", 5, 2, 1): ("no", 3, None),
+    ("gn", 5, 3, 0): ("yes", 0, "4b69d67ca2342cc4307cb476f507f685fc14aedc6d2b8dc6bb4290566b9d5643"),
+    ("gn", 5, 3, 1): ("yes", 0, "468aa83f199569b3d7ff53d6e77d4da790355184d0c702107038674c70b9e8b3"),
+    ("gn", 6, 3, 0): ("no", 7, None),
+    ("gn", 6, 3, 1): ("no", 7, None),
+    ("gn", 6, 4, 0): ("yes", 0, "9a5761c3645d723b4bc35876a3797fcf2d153149c3baa7089ce63c8afddbf023"),
+    ("gn", 6, 4, 1): ("yes", 0, "0f2c312d70aec179131119474b9ce71ed21b2cdcd7d3752a246b75cd72fc4756"),
+    ("gn", 7, 4, 0): ("no", 27, None),
+    ("gn", 7, 4, 1): ("no", 39, None),
+    ("gn", 7, 5, 0): ("yes", 0, "62540a7c5c3ae5b33a3c9a6a636098e7795e825da63fcc7931b0623a4ac879e5"),
+    ("gn", 7, 5, 1): ("yes", 0, "fdbbc8b9d089092596a84db23a23cd289a24fdce94bb58043e91ac1e199d6ff4"),
+    ("gn", 8, 5, 0): ("no", 134, None),
+    ("gn", 8, 5, 1): ("no", 134, None),
+    ("gn", 8, 6, 0): ("yes", 0, "2dcb7e8b045a4c538bae89117100f619930a5922f4a5943a08ee15bc25f5523e"),
+    ("gn", 8, 6, 1): ("yes", 0, "970cbe7df465288ef0fb269310aa729979df404a4640a2fc288ffd17cda32a5b"),
+    ("gn", 9, 6, 0): ("no", 869, None),
+    ("gn", 9, 6, 1): ("no", 934, None),
+    ("gn", 9, 7, 0): ("yes", 0, "b10ea5f8fd02e12f4d4193e1b43f25d0b2a061acc5a634fa815523042cf88411"),
+    ("gn", 9, 7, 1): ("yes", 0, "a86189e02b39c56ce6e45e6f6cc7d87c77c4ee0c3f6d72a2f593d90142d3944e"),
+    ("gn", 10, 7, 0): ("no", 5291, None),
+    ("gn", 10, 7, 1): ("no", 5296, None),
+    ("gn", 10, 8, 0): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
+    ("gn", 10, 8, 1): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
+    ("sg", 6, 3, 0): ("no", 9, None),
+    ("sg", 6, 3, 1): ("no", 7, None),
+    ("sg", 6, 4, 0): ("yes", 0, "af1c1ba8befea56cadcec8775e8a010e20da63fb047e91c527656a080baf224e"),
+    ("sg", 6, 4, 1): ("yes", 0, "4b7bce57a71bcab7d33ad32349b0d86bd97bbcf942bed7577d68ec54dcd8f180"),
+    ("sg", 7, 4, 0): ("no", 40, None),
+    ("sg", 7, 4, 1): ("no", 38, None),
+    ("sg", 7, 5, 0): ("yes", 0, "c79537e96c98e934cafb5180557c02a9a059a84660ceb03810d8ee85a3142cd1"),
+    ("sg", 7, 5, 1): ("yes", 0, "f7ed15812fc24b681e611cffa6df5d47a77e2205ef63fa2fc253b22074b96758"),
+}
+
+
+def _witness_digest(witness):
+    if witness is None:
+        return None
+    return hashlib.sha256(repr(sorted(witness.items())).encode()).hexdigest()
+
+
+def test_search_trace_is_pinned():
+    graphs = {}
+    for (family, n, k, seed), expected in PINNED_TRACES.items():
+        if (family, n) not in graphs:
+            graphs[family, n] = gn(n) if family == "gn" else schrijver(n, 2)
+        out = is_k_colorable(graphs[family, n], k, SolverConfig(seed=seed))
+        got = (out.status, out.backtracks, _witness_digest(out.witness))
+        assert got == expected, (family, n, k, seed)
