@@ -8,7 +8,6 @@ timing), so reports can be golden-file tested.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -79,9 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(text, args.out)
         return _exit_code(ok, timed_out)
     if args.target == "edge-critical":
-        report = verify_edge_criticality(
-            args.n, use_solver=args.with_solver, cfg=cfg, workers=args.workers
-        )
+        report = verify_edge_criticality(args.n, use_solver=args.with_solver, cfg=cfg)
         ok = report.all_pass and report.solver_confirms_chromatic in (None, True)
         _emit(report.render(), args.out)
         return _exit_code(ok, report.solver_timed_out)
@@ -157,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=6)
     ver.add_argument("--n-max", type=int, default=50)
     ver.add_argument("--budget-seconds", type=float, default=60.0)
-    ver.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--with-solver", action="store_true")
     ver.add_argument("--family", choices=("sg", "gn"), default="sg")

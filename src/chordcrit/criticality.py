@@ -11,16 +11,19 @@ inside A with one, two or three fresh colours.
 ``verify_edge_criticality`` sweeps every edge, validates each certificate
 mechanically (total, <= n-3 colours, proper after deleting the edge,
 deleted endpoints monochromatic), and can cross-check with the exact solver.
+Properness is checked by colour class.  Edges of gn(n) join only disjoint
+chords (checked once per sweep), so a class whose chords all contain its
+colour is independent; every min-based class is one.  Only the chords that
+lack their colour are checked against their neighbours, skipping the deleted
+edge: against the other such chords when the colour is a fresh one (> n),
+which no chord contains.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from functools import lru_cache
 
 from .families import (
     Chord,
@@ -31,10 +34,9 @@ from .families import (
     classify_pair,
     gn,
     gn_chords,
-    is_stable_pair,
     validate_chord,
 )
-from .graph import Coloring, Graph, count_colors, delete_vertex
+from .graph import Coloring, Edge, Graph, count_colors, delete_vertex, edge
 from .solver import SolverConfig, chromatic_number, is_k_colorable
 
 
@@ -88,13 +90,28 @@ def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
     """
     if not all(1 <= x <= n for x in A):
         raise InvalidParametersError(f"A must be a subset of [{n}]")
-    coloring: Coloring = {}
-    for i, (x, y) in enumerate(gn_chords(n)):
-        if x not in A:  # chords are stored with x < y
-            coloring[i] = x
-        elif y not in A:
-            coloring[i] = y
+    # Only the chords (x, y), x < y, with x in A differ from the colouring
+    # for an empty A.  Chord ids are lexicographic, so for one x they are
+    # consecutive from (x, x+2) on.
+    coloring = _smaller_element_coloring(n).copy()
+    ids = chord_index(n)
+    for x in A:
+        i = ids.get((x, x + 2))
+        if i is None:
+            continue
+        for y in range(x + 2, n if x == 1 else n + 1):
+            if y in A:
+                del coloring[i]
+            else:
+                coloring[i] = y
+            i += 1
     return coloring
+
+
+@lru_cache(maxsize=4)
+def _smaller_element_coloring(n: int) -> dict[int, int]:
+    """Each chord of gn(n) coloured by its smaller element; callers copy it."""
+    return {i: x for i, (x, _) in enumerate(gn_chords(n))}
 
 
 @dataclass(frozen=True)
@@ -118,8 +135,9 @@ class CertificateColoring:
         return count_colors(self.assignment)
 
 
-def _special_classes(sel: CaseSelection, n: int) -> list[list[Chord]]:
-    """Chord sets for the fresh colours, before stability filtering."""
+def _special_classes(sel: CaseSelection) -> tuple[int | None, list[list[Chord]]]:
+    """The interior element x (transverse case only) and the chord sets for
+    the fresh colours, before stability filtering."""
     a, b, c, d = sel.a, sel.b, sel.c, sel.d
     if sel.case is CriticalCase.CROSSING_WITH_1:
         elems = sorted({a, b, c, d})
@@ -128,14 +146,14 @@ def _special_classes(sel: CaseSelection, n: int) -> list[list[Chord]]:
             for i in range(len(elems))
             for j in range(i + 1, len(elems))
         ]
-        return [all_pairs]
+        return None, [all_pairs]
     if sel.case is CriticalCase.CROSSING_WITHOUT_1:
-        return [
+        return None, [
             [(1, a), (1, b), (1, c), (1, d), (b, c), (b, d)],
             [(a, b), (a, c), (a, d), (c, d)],
         ]
     x = c + 1  # smallest element strictly inside (c, d); exists since d-c >= 2
-    return [
+    return x, [
         [(1, a), (1, x), (1, d), (a, x), (d, x)],
         [(1, b), (1, c), (b, c), (b, x), (c, x)],
         [(a, b), (a, c), (a, d), (c, d), (b, d)],
@@ -146,30 +164,24 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
     """Certificate colouring for the edge {p, q} of gn(n).
 
     Total on the vertices of gn(n), uses at most n-3 colours, gives p and q
-    equal colours, and is proper once that edge is removed.  Raw case sets
-    may name unstable pairs; only stable chords are kept.
+    equal colours, and is proper once that edge is removed.  The anchor set
+    A is every element named by the fresh classes.  Raw case sets may name
+    unstable pairs; only stable chords are kept.
     """
     sel = select_case(n, p, q)
-    if sel.case is CriticalCase.TRANSVERSE:
-        x: int | None = sel.c + 1
-        A = tuple(sorted({1, sel.a, sel.b, sel.c, sel.d, x}))
-    elif sel.case is CriticalCase.CROSSING_WITH_1:
-        x = None
-        A = tuple(sorted({sel.a, sel.b, sel.c, sel.d}))
-    else:
-        x = None
-        A = tuple(sorted({1, sel.a, sel.b, sel.c, sel.d}))
+    x, raw_classes = _special_classes(sel)
+    A = tuple(sorted({e for raw in raw_classes for pair in raw for e in pair}))
 
     assignment = min_based_coloring(n, set(A))
     ids = chord_index(n)
     specials: dict[str, int] = {}
-    for idx, raw in enumerate(_special_classes(sel, n), start=1):
+    for idx, raw in enumerate(raw_classes, start=1):
         color_id = n + idx
         specials[f"l{idx}"] = color_id
         for u, v in raw:
-            chord = (u, v) if u < v else (v, u)
-            if is_stable_pair(chord[0], chord[1], n):
-                assignment[ids[chord]] = color_id
+            i = ids.get((u, v) if u < v else (v, u))
+            if i is not None:  # the pair is a stable chord
+                assignment[i] = color_id
     return CertificateColoring(
         n=n,
         case=sel.case,
@@ -251,55 +263,32 @@ class EdgeCriticalityReport:
         return "\n".join(lines) + "\n"
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    eu = np.fromiter((e.u for e in g.edges()), dtype=np.int64, count=g.edge_count)
-    ev = np.fromiter((e.v for e in g.edges()), dtype=np.int64, count=g.edge_count)
-    return eu, ev
-
-
-def _certify_edges(
-    n: int,
-    edge_list: list[tuple[Chord, Chord]],
-    eu: np.ndarray,
-    ev: np.ndarray,
-) -> list[EdgeCertRow]:
-    n_chords = len(gn_chords(n))
-    return [_certify_one(n, p, q, eu, ev, n_chords) for p, q in edge_list]
-
-
 def _certify_one(
-    n: int,
-    p: Chord,
-    q: Chord,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    n_chords: int,
+    n: int, g: Graph, chords: tuple[Chord, ...], e: Edge
 ) -> EdgeCertRow:
+    p, q = chords[e.u], chords[e.v]
     label = ",".join(chord_label(t) for t in sorted((p, q)))
     try:
         cert = critical_coloring(n, p, q)
     except NotAnEdgeError as exc:
         return EdgeCertRow(label, "error", 0, False, False, False, f"fail:{exc}")
-    total = len(cert.assignment) == n_chords
-    if total:
-        colors = np.empty(n_chords, dtype=np.int64)
-        for v, c in cert.assignment.items():
-            colors[v] = c
-        mono = colors[eu] == colors[ev]
-        ids = chord_index(n)
-        e_u, e_v = sorted((ids[cert.edge_chords[0]], ids[cert.edge_chords[1]]))
-        deleted = (eu == e_u) & (ev == e_v)
-        proper = bool(not np.any(mono & ~deleted))
-        endpoints_mono = bool(np.all(mono[deleted]))
-    else:
-        proper = False
-        endpoints_mono = False
-    few_enough = cert.colors_used <= n - 3
-    ok = total and proper and endpoints_mono and few_enough
+    assignment = cert.assignment
+    total = len(assignment) == g.n
+    # Edges of gn(n) join disjoint chords, so one end of a monochromatic
+    # edge lacks the shared colour; for a fresh colour (> n) both ends do.
+    lacking = {v for v, c in assignment.items() if c not in chords[v]}
+    proper = total and not any(
+        assignment[w] == assignment[v] and edge(v, w) != e
+        for v in lacking
+        for w in (g.adj[v] & lacking if assignment[v] > n else g.adj[v])
+    )
+    endpoints_mono = total and assignment[e.u] == assignment[e.v]
+    colors_used = cert.colors_used
+    ok = total and proper and endpoints_mono and colors_used <= n - 3
     return EdgeCertRow(
         edge=label,
         case=cert.case.value,
-        colors_used=cert.colors_used,
+        colors_used=colors_used,
         proper=proper,
         endpoints_monochromatic=endpoints_mono,
         total=total,
@@ -311,39 +300,22 @@ def verify_edge_criticality(
     n: int,
     use_solver: bool = False,
     cfg: SolverConfig | None = None,
-    workers: int = 1,
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    The sweep is independent per edge, so it can be dealt round-robin to at
-    most one worker process per CPU; row order follows the edge order of the
-    graph.
+    Rows follow the edge order of the graph.  Raises AssertionError if an
+    edge of gn(n) joins two intersecting chords, the premise of the class
+    by class properness check.
     """
-    if workers < 1:
-        raise InvalidParametersError(f"workers must be >= 1, got {workers}")
     g = gn(n)
     chords = gn_chords(n)
-    edge_list = [(chords[e.u], chords[e.v]) for e in g.edges()]
-    eu, ev = _edge_arrays(g)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(edge_list) >= 64:
-        rows: list[EdgeCertRow | None] = [None] * len(edge_list)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _certify_edges,
-                [n] * workers,
-                [edge_list[i::workers] for i in range(workers)],
-                [eu] * workers,
-                [ev] * workers,
-            )
-            for i, part in enumerate(parts):
-                rows[i::workers] = part
-    else:
-        rows = _certify_edges(n, edge_list, eu, ev)
+    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in g.edges()):
+        raise AssertionError(f"gn({n}) has an edge between intersecting chords")
+    rows = tuple(_certify_one(n, g, chords, e) for e in g.edges())
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(g, n - 3, cfg).status
-    return EdgeCriticalityReport(n, tuple(rows), solver_status)
+    return EdgeCriticalityReport(n, rows, solver_status)
 
 
 @dataclass(frozen=True)

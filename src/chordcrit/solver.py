@@ -24,7 +24,7 @@ without the scalar boxing that numpy arrays cost in an interpreted loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -307,12 +307,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
             return ChromaticResult(
                 upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
             )
-        step_cfg = SolverConfig(
-            time_budget=remaining,
-            seed=cfg.seed,
-            backtrack_check_interval=cfg.backtrack_check_interval,
-        )
-        decision = is_k_colorable(g, k, step_cfg)
+        decision = is_k_colorable(g, k, replace(cfg, time_budget=remaining))
         if decision.status == "yes":
             witness = decision.witness or {}
             upper = k

@@ -8,7 +8,11 @@ from itertools import combinations, product
 
 import numpy as np
 
+from chordcrit import criticality
+from chordcrit.criticality import EdgeCertRow, NotAnEdgeError
+from chordcrit.families import chord_label
 from chordcrit.graph import Graph
+from helpers import gn_edge_arrays
 
 
 def brute_stable_ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -119,6 +123,50 @@ def brute_proper(g: Graph, coloring: dict[int, int]) -> bool:
             if coloring[u] == coloring[v]:
                 return False
     return True
+
+
+def full_scan_rows(n: int) -> list[EdgeCertRow]:
+    """The rows of ``verify_edge_criticality(n)``, each certificate checked
+    by scanning every edge of gn(n) in numpy.
+
+    The certificate comes from ``criticality.critical_coloring`` as bound at
+    call time, so a test that patches it checks the patched certificates.
+    """
+    n_chords, eu, ev = gn_edge_arrays(n)
+    chords = brute_chords(n)
+    rows = []
+    for e_u, e_v in zip(eu.tolist(), ev.tolist()):
+        p, q = chords[e_u], chords[e_v]
+        label = ",".join(chord_label(t) for t in sorted((p, q)))
+        try:
+            cert = criticality.critical_coloring(n, p, q)
+        except NotAnEdgeError as exc:
+            rows.append(EdgeCertRow(label, "error", 0, False, False, False, f"fail:{exc}"))
+            continue
+        total = len(cert.assignment) == n_chords
+        if total:
+            colors = np.empty(n_chords, dtype=np.int64)
+            for v, c in cert.assignment.items():
+                colors[v] = c
+            mono = colors[eu] == colors[ev]
+            deleted = (eu == e_u) & (ev == e_v)
+            proper = bool(not np.any(mono & ~deleted))
+            endpoints_mono = bool(np.all(mono[deleted]))
+        else:
+            proper = False
+            endpoints_mono = False
+        colors_used = len(set(cert.assignment.values()))
+        ok = total and proper and endpoints_mono and colors_used <= n - 3
+        rows.append(EdgeCertRow(
+            edge=label,
+            case=cert.case.value,
+            colors_used=colors_used,
+            proper=proper,
+            endpoints_monochromatic=endpoints_mono,
+            total=total,
+            verdict="pass" if ok else "fail",
+        ))
+    return rows
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:

@@ -1,4 +1,5 @@
-import os
+import dataclasses
+import random
 from itertools import combinations
 
 import pytest
@@ -15,18 +16,17 @@ from chordcrit.criticality import (
     verify_vertex_criticality,
 )
 from chordcrit.families import (
-    InvalidParametersError,
     PairClass,
     classify_pair,
     gn,
     gn_chords,
     is_stable_pair,
 )
-from chordcrit.graph import count_colors, delete_edge, is_proper_coloring
+from chordcrit.graph import build_graph, count_colors, delete_edge, is_proper_coloring
 from chordcrit.solver import SolverConfig, chromatic_number
 
 from helpers import cycle_graph
-from oracles import brute_pair_class
+from oracles import brute_chords, brute_pair_class, full_scan_rows
 
 
 def chord_of(n, label):
@@ -104,6 +104,18 @@ def test_min_based_coloring_examples():
     # chords inside A stay uncoloured
     assert ids7[(1, 3)] not in c
     assert min_based_coloring(6, set(range(1, 7))) == {}
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 31, 40])
+def test_min_based_coloring_matches_definition(n):
+    rng = random.Random(n)
+    chords = brute_chords(n)
+    for _ in range(50):
+        A = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        expected = {
+            i: min(set(p) - A) for i, p in enumerate(chords) if set(p) - A
+        }
+        assert min_based_coloring(n, A) == expected
 
 
 def test_min_based_coloring_uses_only_colors_outside_a():
@@ -268,48 +280,41 @@ def test_verify_edge_criticality_n4_single_color():
     assert report.rows[0].colors_used == 1
 
 
-def test_parallel_sweep_matches_sequential():
-    seq = verify_edge_criticality(10, workers=1)
-    par = verify_edge_criticality(10, workers=2)
-    assert par.rows == seq.rows
+@pytest.mark.parametrize("n", range(4, 17))
+def test_sweep_matches_full_scan_oracle(n):
+    assert list(verify_edge_criticality(n).rows) == full_scan_rows(n)
 
 
-class RecordingExecutor:
-    """In-process stand-in for ProcessPoolExecutor: records its size and
-    runs the mapped calls in this process, so no worker is ever started."""
+@pytest.mark.parametrize("n", range(6, 11))
+def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
+    """Recolour one chord of every certificate to another colour in use:
+    the class by class check must still agree with the full scan."""
+    original = criticality.critical_coloring
 
-    sizes: list[int] = []
+    def perturbed(n, p, q):
+        cert = original(n, p, q)
+        rng = random.Random(f"{n}:{p}:{q}")
+        assignment = dict(cert.assignment)
+        v = rng.choice(sorted(assignment))
+        others = sorted(set(assignment.values()) - {assignment[v]})
+        assignment[v] = rng.choice(others)
+        return dataclasses.replace(cert, assignment=assignment)
 
-    def __init__(self, max_workers):
-        RecordingExecutor.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, None])
-def test_pool_is_capped_at_cpu_count(monkeypatch, cpus):
-    monkeypatch.setattr(criticality, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    RecordingExecutor.sizes = []
-    seq = verify_edge_criticality(10, workers=1)
-    assert RecordingExecutor.sizes == []
-    for workers in ((cpus or 1) + 1, 5000):
-        assert verify_edge_criticality(10, workers=workers).rows == seq.rows
-    expected = [cpus] * 2 if cpus and cpus > 1 else []
-    assert RecordingExecutor.sizes == expected
+    monkeypatch.setattr(criticality, "critical_coloring", perturbed)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {True, False}
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(workers):
-    with pytest.raises(InvalidParametersError):
-        verify_edge_criticality(6, workers=workers)
+def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):
+    n = 7
+    ids = families.chord_index(n)
+    g = gn(n)
+    extra = (ids[(1, 3)], ids[(1, 5)])
+    bad = build_graph(g.labels, [*g.edges(), extra], n_hint=n)
+    monkeypatch.setattr(criticality, "gn", lambda n: bad)
+    with pytest.raises(AssertionError, match="intersecting"):
+        verify_edge_criticality(n)
 
 
 def test_chord_list_built_once_per_sweep(monkeypatch):
