@@ -66,13 +66,23 @@ def test_verify_edge_critical_solver_timeout_exit_code(capsys):
     assert "not 9-colourable: timeout" in out
 
 
-def test_verify_edge_critical_rejects_workers_option(capsys):
+def assert_workers_rejected(capsys, workers):
     with pytest.raises(SystemExit) as err:
-        main(["verify", "edge-critical", "--n", "6", "--workers", "2"])
+        main(["verify", "edge-critical", "--n", "6", "--workers", workers])
     assert err.value.code == EXIT_PARAM
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--workers" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_edge_critical_workers_below_one_is_param_error(capsys, workers):
+    # --workers is gone; values below one stay usage errors, as before
+    assert_workers_rejected(capsys, workers)
+
+
+def test_verify_edge_critical_rejects_workers_option(capsys):
+    assert_workers_rejected(capsys, "2")
 
 
 def test_verify_nan_budget_is_param_error(capsys):
