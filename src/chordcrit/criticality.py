@@ -8,27 +8,36 @@ anchor set A of elements, colours every chord not inside A by the least of
 its elements outside A (the min-based colouring), and covers the chords
 inside A with one, two or three fresh colours.
 
+A certificate is stored as a delta: A plus ``overrides``, the colours that
+differ from the min-based rule (at most 16 chords, the fresh classes).  The
+full colouring is built only when ``CertificateColoring.assignment`` is read.
+
 ``verify_edge_criticality`` sweeps every edge, validates each certificate
 mechanically (total, <= n-3 colours, proper after deleting the edge,
 deleted endpoints monochromatic), and can cross-check with the exact solver.
-Properness is checked by colour class.  Edges of gn(n) join only disjoint
-chords (checked once per sweep), so a class whose chords all contain its
-colour is independent; every min-based class is one.  Only the chords that
-lack their colour are checked against their neighbours, skipping the deleted
-edge: against the other such chords when the colour is a fresh one (> n),
-which no chord contains.
+The check reads only A and the overrides, never the whole colouring.  It is
+total when every stable chord inside A is overridden.  Edges of gn(n) join
+only disjoint chords (checked once per sweep), so a class whose chords all
+contain its colour is independent; every min-based class is one.  Only the
+overridden chords that lack their colour are checked against their
+neighbours, skipping the deleted edge: for a fresh colour (> n), which no
+chord contains and so only overridden chords carry, against the other
+chords of that colour; for any other colour, against all neighbours.
+Colours are counted from A and the overrides too (``colors_used``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
+from typing import NamedTuple
 
 from .families import (
     Chord,
     InvalidParametersError,
-    PairClass,
     chord_index,
     chord_label,
     classify_pair,
@@ -36,7 +45,7 @@ from .families import (
     gn_chords,
     validate_chord,
 )
-from .graph import Coloring, Edge, Graph, count_colors, delete_vertex, edge
+from .graph import Coloring, Edge, Graph, delete_vertex, edge
 from .solver import SolverConfig, chromatic_number, is_k_colorable
 
 
@@ -50,8 +59,7 @@ class CriticalCase(Enum):
     TRANSVERSE = "transverse"
 
 
-@dataclass(frozen=True)
-class CaseSelection:
+class CaseSelection(NamedTuple):
     """Deleted-edge case with endpoint roles normalized.
 
     For the crossing cases (a, b) x (c, d) satisfies a < c < b < d (and a = 1
@@ -69,15 +77,16 @@ class CaseSelection:
 def select_case(n: int, p: Chord, q: Chord) -> CaseSelection:
     p = validate_chord(p, n)
     q = validate_chord(q, n)
+    # The two edge patterns; classify_pair names the class of a non-edge.
+    (a, b), (c, d) = sorted((p, q))
+    if a < c < b:
+        if b < d:
+            if a == 1:
+                return CaseSelection(CriticalCase.CROSSING_WITH_1, a, b, c, d)
+            return CaseSelection(CriticalCase.CROSSING_WITHOUT_1, a, b, c, d)
+        if d < b and a > 1:
+            return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
     cls = classify_pair(p, q, n)
-    if cls is PairClass.CROSSING:
-        (a, b), (c, d) = (p, q) if p[0] < q[0] else (q, p)
-        if a == 1:
-            return CaseSelection(CriticalCase.CROSSING_WITH_1, a, b, c, d)
-        return CaseSelection(CriticalCase.CROSSING_WITHOUT_1, a, b, c, d)
-    if cls is PairClass.TRANSVERSE:
-        (a, b), (c, d) = (p, q) if p[0] < q[0] else (q, p)
-        return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
     raise NotAnEdgeError(f"chords {p} and {q} form a {cls.value} pair, not an edge")
 
 
@@ -114,9 +123,33 @@ def _smaller_element_coloring(n: int) -> dict[int, int]:
     return {i: x for i, (x, _) in enumerate(gn_chords(n))}
 
 
-@dataclass(frozen=True)
+def _min_color(p: Chord, A: set[int]) -> int | None:
+    """min(p \\ A) for a chord p = (x, y), x < y; None when p is inside A."""
+    x, y = p
+    if x not in A:
+        return x
+    return y if y not in A else None
+
+
+def _min_class_size(n: int, A: tuple[int, ...], e: int) -> int:
+    """Chords whose min-based colour is e, for e outside the sorted tuple A:
+    (e, y) for every y >= e+2, and (x, e) for every x in A with x <= e-2,
+    except (1, n)."""
+    later = max((n - 1 if e == 1 else n) - e - 1, 0)
+    earlier = bisect_right(A, e - 2) - (e == n and A[:1] == (1,))
+    return later + earlier
+
+
+@dataclass
 class CertificateColoring:
-    """Colouring of gn(n) that is proper once `edge_chords` is deleted."""
+    """Colouring of gn(n) that is proper once `edge_chords` is deleted.
+
+    Chord v gets colour ``overrides[v]`` when v is overridden and its
+    min-based colour min(v \\ A) otherwise.  Read-only by convention:
+    ``assignment`` is cached from the other fields on first read.  It is
+    not frozen because a sweep builds one per edge, and field-by-field
+    frozen construction costs several percent of the sweep.
+    """
 
     n: int
     case: CriticalCase
@@ -127,36 +160,69 @@ class CertificateColoring:
     d: int
     x: int | None
     A: tuple[int, ...]
-    assignment: Coloring
+    overrides: dict[int, int]
     special_colors: dict[str, int]
+
+    @cached_property
+    def assignment(self) -> Coloring:
+        """The whole colouring, vertex id -> colour, built when first read."""
+        coloring = min_based_coloring(self.n, set(self.A))
+        coloring.update(self.overrides)
+        return coloring
 
     @property
     def colors_used(self) -> int:
-        return count_colors(self.assignment)
+        """Distinct colours, counted from A and the overrides alone."""
+        return _colors_used(self, gn_chords(self.n))
+
+
+def _colors_used(cert: CertificateColoring, chords: tuple[Chord, ...]) -> int:
+    """``cert.colors_used``, given the chords of gn(n).
+
+    Every element e outside A is the min-based colour of some chord when
+    e <= n-2, since (e, e+2) is one; so e colours nothing only when it is
+    n-1 or n, or when all the chords it would colour are overridden.
+    """
+    n, A, overrides = cert.n, set(cert.A), cert.overrides
+    # Overridden chords by the min-based colour they no longer carry.
+    displaced: dict[int, int] = {}
+    for v in overrides:
+        x, y = chords[v]
+        m = x if x not in A else y  # min(v \ A) unless v is inside A
+        if m not in A:
+            displaced[m] = displaced.get(m, 0) + 1
+    unused = {
+        e for e in (n - 1, n, *displaced)
+        if e not in A and _min_class_size(n, cert.A, e) == displaced.get(e, 0)
+    }
+    extra = sum(
+        1 for c in set(overrides.values())
+        if not 1 <= c <= n or c in A or c in unused
+    )
+    return n - len(A) - len(unused) + extra
 
 
 def _special_classes(sel: CaseSelection) -> tuple[int | None, list[list[Chord]]]:
     """The interior element x (transverse case only) and the chord sets for
-    the fresh colours, before stability filtering."""
+    the fresh colours, before stability filtering.
+
+    Each pair is written smaller element first (a < c < b < d in the
+    crossing cases, 1 < a < c < x < d < b in the transverse one), so it is
+    a key of ``chord_index`` exactly when it is a stable chord.
+    """
     a, b, c, d = sel.a, sel.b, sel.c, sel.d
     if sel.case is CriticalCase.CROSSING_WITH_1:
-        elems = sorted({a, b, c, d})
-        all_pairs = [
-            (elems[i], elems[j])
-            for i in range(len(elems))
-            for j in range(i + 1, len(elems))
-        ]
-        return None, [all_pairs]
+        return None, [list(combinations((a, c, b, d), 2))]
     if sel.case is CriticalCase.CROSSING_WITHOUT_1:
         return None, [
-            [(1, a), (1, b), (1, c), (1, d), (b, c), (b, d)],
+            [(1, a), (1, b), (1, c), (1, d), (c, b), (b, d)],
             [(a, b), (a, c), (a, d), (c, d)],
         ]
     x = c + 1  # smallest element strictly inside (c, d); exists since d-c >= 2
     return x, [
-        [(1, a), (1, x), (1, d), (a, x), (d, x)],
-        [(1, b), (1, c), (b, c), (b, x), (c, x)],
-        [(a, b), (a, c), (a, d), (c, d), (b, d)],
+        [(1, a), (1, x), (1, d), (a, x), (x, d)],
+        [(1, b), (1, c), (c, b), (x, b), (c, x)],
+        [(a, b), (a, c), (a, d), (c, d), (d, b)],
     ]
 
 
@@ -165,23 +231,24 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
 
     Total on the vertices of gn(n), uses at most n-3 colours, gives p and q
     equal colours, and is proper once that edge is removed.  The anchor set
-    A is every element named by the fresh classes.  Raw case sets may name
-    unstable pairs; only stable chords are kept.
+    A is every element named by the fresh classes, so the overrides are
+    exactly the fresh-class chords.  Raw case sets may name unstable pairs;
+    only stable chords are kept.
     """
     sel = select_case(n, p, q)
     x, raw_classes = _special_classes(sel)
-    A = tuple(sorted({e for raw in raw_classes for pair in raw for e in pair}))
+    A = tuple(sorted(set(chain.from_iterable(chain.from_iterable(raw_classes)))))
 
-    assignment = min_based_coloring(n, set(A))
     ids = chord_index(n)
     specials: dict[str, int] = {}
+    overrides: dict[int, int] = {}
     for idx, raw in enumerate(raw_classes, start=1):
         color_id = n + idx
         specials[f"l{idx}"] = color_id
-        for u, v in raw:
-            i = ids.get((u, v) if u < v else (v, u))
+        for pair in raw:
+            i = ids.get(pair)
             if i is not None:  # the pair is a stable chord
-                assignment[i] = color_id
+                overrides[i] = color_id
     return CertificateColoring(
         n=n,
         case=sel.case,
@@ -192,7 +259,7 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
         d=sel.d,
         x=x,
         A=A,
-        assignment=assignment,
+        overrides=overrides,
         special_colors=specials,
     )
 
@@ -211,8 +278,7 @@ def render_certificate(cert: CertificateColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EdgeCertRow:
+class EdgeCertRow(NamedTuple):
     edge: str
     case: str
     colors_used: int
@@ -266,24 +332,53 @@ class EdgeCriticalityReport:
 def _certify_one(
     n: int, g: Graph, chords: tuple[Chord, ...], e: Edge
 ) -> EdgeCertRow:
-    p, q = chords[e.u], chords[e.v]
-    label = ",".join(chord_label(t) for t in sorted((p, q)))
+    label = f"{g.labels[e.u]},{g.labels[e.v]}"  # ids are lexicographic
     try:
-        cert = critical_coloring(n, p, q)
+        cert = critical_coloring(n, chords[e.u], chords[e.v])
     except NotAnEdgeError as exc:
         return EdgeCertRow(label, "error", 0, False, False, False, f"fail:{exc}")
-    assignment = cert.assignment
-    total = len(assignment) == g.n
+    A = set(cert.A)
+    overrides = cert.overrides
+
+    def color(v: int) -> int | None:
+        c = overrides.get(v)
+        return c if c is not None else _min_color(chords[v], A)
+
     # Edges of gn(n) join disjoint chords, so one end of a monochromatic
-    # edge lacks the shared colour; for a fresh colour (> n) both ends do.
-    lacking = {v for v, c in assignment.items() if c not in chords[v]}
-    proper = total and not any(
-        assignment[w] == assignment[v] and edge(v, w) != e
-        for v in lacking
-        for w in (g.adj[v] & lacking if assignment[v] > n else g.adj[v])
+    # edge lacks the shared colour, and only overridden chords lack theirs.
+    inside = 0
+    proper = True
+    fresh: dict[int, list[int]] = {}
+    for v, c in overrides.items():
+        x, y = chords[v]
+        if x in A and y in A:
+            inside += 1
+        if c > n:  # in no chord, so carried by overridden chords only
+            fresh.setdefault(c, []).append(v)
+        elif c != x and c != y:
+            for w in g.adj[v]:
+                if color(w) == c and edge(v, w) != e:
+                    proper = False
+    # A fresh class may hold one edge of gn(n), the deleted one; the sum
+    # counts each edge inside the class twice.
+    for members in fresh.values():
+        cls = set(members)
+        inner = sum(len(cls & g.adj[v]) for v in members)
+        if inner > 2 * (e.u in cls and e.v in cls):
+            proper = False
+    # Total: every stable chord inside A is overridden.  Override keys are
+    # distinct ids, so it suffices to count both sides; pairs of A fail to
+    # be chords only as consecutive elements or as {1, n}.
+    elems = cert.A
+    stable_inside = (
+        len(elems) * (len(elems) - 1) // 2
+        - sum(y - x == 1 for x, y in zip(elems, elems[1:]))
+        - (1 in A and n in A)
     )
-    endpoints_mono = total and assignment[e.u] == assignment[e.v]
-    colors_used = cert.colors_used
+    total = inside == stable_inside
+    proper = proper and total
+    endpoints_mono = total and color(e.u) == color(e.v)
+    colors_used = _colors_used(cert, chords)
     ok = total and proper and endpoints_mono and colors_used <= n - 3
     return EdgeCertRow(
         edge=label,
@@ -309,9 +404,10 @@ def verify_edge_criticality(
     """
     g = gn(n)
     chords = gn_chords(n)
-    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in g.edges()):
+    edges = list(g.edges())
+    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in edges):
         raise AssertionError(f"gn({n}) has an edge between intersecting chords")
-    rows = tuple(_certify_one(n, g, chords, e) for e in g.edges())
+    rows = tuple(_certify_one(n, g, chords, e) for e in edges)
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(g, n - 3, cfg).status

@@ -136,9 +136,6 @@ def classify_pair(p: Chord, q: Chord, n: int) -> PairClass:
     return PairClass.TRANSVERSE
 
 
-GN_EDGE_CLASSES = (PairClass.CROSSING, PairClass.TRANSVERSE)
-
-
 def kneser(n: int, k: int) -> Graph:
     """All k-subsets of [n]; edges join disjoint subsets."""
     if k < 1 or n < 2 * k:
@@ -191,15 +188,31 @@ def chord_index(n: int) -> MappingProxyType[Chord, int]:
 
 
 def gn(n: int) -> Graph:
-    """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs."""
+    """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
+
+    Each chord (a, b) is joined to its lexicographically later partners
+    (c, d), c > a, which lie in the intervals that ``count_pairs`` counts:
+    crossing, a < c < b < d <= n; and, when a > 1, transverse, a < c and
+    c+2 <= d < b.  For one c each is a run of consecutive chord ids, so no
+    pair of chords is classified.  ``classify_pair`` stays the pairwise
+    definition; the tests check that both give the same edges.
+    """
     chords = gn_chords(n)
-    edges = [
-        (i, j)
-        for i in range(len(chords))
-        for j in range(i + 1, len(chords))
-        if classify_pair(chords[i], chords[j], n) in GN_EDGE_CLASSES
-    ]
-    return build_graph([chord_label(p) for p in chords], edges, n_hint=n)
+    ids = chord_index(n)
+    adj: list[set[int]] = [set() for _ in chords]
+    for i, (a, b) in enumerate(chords):
+        later: list[int] = []
+        # c < n-1: no chord starts at n-1.  c > a >= 1, so (c, n) is a chord.
+        for c in range(a + 1, min(b, n - 1)):
+            base = ids[(c, c + 2)] - c - 2  # chord (c, d) has id base + d
+            if a > 1:
+                later += range(base + c + 2, base + b)
+            later += range(base + b + 1, base + n + 1)
+        adj[i].update(later)
+        for j in later:
+            adj[j].add(i)
+    labels = tuple(chord_label(p) for p in chords)
+    return Graph(labels, tuple(frozenset(s) for s in adj), n)
 
 
 def _star_label(taken: set[str]) -> str:

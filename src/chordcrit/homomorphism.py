@@ -113,13 +113,6 @@ def build_h(n: int) -> VertexMap:
     return VertexMap(domain=f"M(G_{n - 1})", codomain=f"G_{n}", mapping=mapping)
 
 
-def render_map(m: VertexMap, G: Graph, H: Graph) -> str:
-    """Map export as 'domain_label -> codomain_label' lines."""
-    return "\n".join(
-        f"{G.labels[u]} -> {H.labels[m.mapping[u]]}" for u in range(G.n)
-    ) + "\n"
-
-
 @dataclass(frozen=True)
 class ChainLevel:
     n: int

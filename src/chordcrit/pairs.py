@@ -130,17 +130,3 @@ def edge_ratio(n: int) -> Fraction:
     if n < 5:
         raise InvalidParametersError(f"need n >= 5, got n={n}")
     return count_pairs(n).ratio()
-
-
-def census_table(n_values: list[int]) -> str:
-    """Aligned text table of censuses plus the machine rows, one per n."""
-    header = f"{'n':>4} {'crossing':>12} {'transverse':>12} {'lateral':>12} {'nested1':>10} {'ratio':>12}"
-    lines = [header]
-    for n in n_values:
-        c = count_pairs(n)
-        r = c.ratio()
-        lines.append(
-            f"{n:>4} {c.crossing:>12} {c.transverse:>12} {c.lateral:>12} "
-            f"{c.nested_through_1:>10} {str(r):>12}"
-        )
-    return "\n".join(lines) + "\n"

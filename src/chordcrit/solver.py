@@ -225,15 +225,19 @@ def is_k_colorable(
     if k < 0:
         raise ValueError("k must be >= 0")
     cfg = cfg or SolverConfig()
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return ColorDecision("yes", witness={})
     if k == 0:
         return ColorDecision("no")
-    clique = clique_bound(g)
+    return _search(g, k, cfg, clique_bound(g))
+
+
+def _search(g: Graph, k: int, cfg: SolverConfig, clique: list[int]) -> ColorDecision:
+    """``is_k_colorable`` for a non-empty g and k >= 1, given a clique of g."""
     if len(clique) > k:
         return ColorDecision("no")
 
+    n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     degree = [len(nb) for nb in nbrs]
     rng = np.random.default_rng(cfg.seed)
@@ -289,7 +293,8 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
 
     Searches downward from the greedy upper bound; optimality is certified
     either by the clique lower bound or by an exhaustive "no" one level
-    below the final witness.
+    below the final witness.  The clique is found once and seeds every
+    search.
     """
     cfg = cfg or SolverConfig()
     if g.n == 0:
@@ -307,7 +312,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
             return ChromaticResult(
                 upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
             )
-        decision = is_k_colorable(g, k, replace(cfg, time_budget=remaining))
+        decision = _search(g, k, replace(cfg, time_budget=remaining), clique)
         if decision.status == "yes":
             witness = decision.witness or {}
             upper = k
@@ -320,8 +325,3 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
                 upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
             )
     return ChromaticResult(upper, witness, tuple(clique), "exact", upper, upper)
-
-
-def render_witness(g: Graph, c: Coloring) -> str:
-    """Witness colouring as 'vertex_label colour' lines."""
-    return "\n".join(f"{g.labels[v]} {c[v]}" for v in sorted(c)) + "\n"

@@ -1,14 +1,25 @@
 """Shared test machinery: bulk randomized property checks and the tiny-graph
 corpus used for solver/oracle equivalence."""
 
+import hashlib
+import json
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from chordcrit.criticality import min_based_coloring
 from chordcrit.families import gn, mycielski_iter, kneser, schrijver
 from chordcrit.graph import Graph, build_graph, delete_edge
+
+
+# SHA-256 digests of outputs that must stay byte-identical.
+PINNED = json.loads(Path(__file__).with_name("digests.json").read_text())
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @lru_cache(maxsize=None)

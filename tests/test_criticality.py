@@ -25,7 +25,7 @@ from chordcrit.families import (
 from chordcrit.graph import build_graph, count_colors, delete_edge, is_proper_coloring
 from chordcrit.solver import SolverConfig, chromatic_number
 
-from helpers import cycle_graph
+from helpers import PINNED, cycle_graph, sha256
 from oracles import brute_chords, brute_pair_class, full_scan_rows
 
 
@@ -280,6 +280,33 @@ def test_verify_edge_criticality_n4_single_color():
     assert report.rows[0].colors_used == 1
 
 
+@pytest.mark.parametrize("n", range(4, 21))
+def test_edge_criticality_report_is_pinned(n):
+    report = verify_edge_criticality(n).render()
+    assert sha256(report) == PINNED["edge_criticality_render"][str(n)]
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_colors_used_matches_assignment_under_overrides(n):
+    """Random overrides, some displacing every chord of an element or using
+    elements of A: the count from A and the overrides equals the count over
+    the whole colouring."""
+    g = gn(n)
+    chords = gn_chords(n)
+    rng = random.Random(n)
+    for e in g.edges():
+        cert = critical_coloring(n, chords[e.u], chords[e.v])
+        assert cert.colors_used == len(set(cert.assignment.values()))
+        for _ in range(3):
+            overrides = dict(cert.overrides)
+            e_color = rng.randint(1, n)
+            targets = [v for v, p in enumerate(chords) if e_color in p]
+            for v in rng.sample(targets, rng.randint(1, len(targets))):
+                overrides[v] = rng.randint(1, n + 4)
+            moved = dataclasses.replace(cert, overrides=overrides)
+            assert moved.colors_used == len(set(moved.assignment.values()))
+
+
 @pytest.mark.parametrize("n", range(4, 17))
 def test_sweep_matches_full_scan_oracle(n):
     assert list(verify_edge_criticality(n).rows) == full_scan_rows(n)
@@ -288,22 +315,62 @@ def test_sweep_matches_full_scan_oracle(n):
 @pytest.mark.parametrize("n", range(6, 11))
 def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
     """Recolour one chord of every certificate to another colour in use:
-    the class by class check must still agree with the full scan."""
+    the check of the overrides must still agree with the full scan."""
     original = criticality.critical_coloring
 
     def perturbed(n, p, q):
         cert = original(n, p, q)
         rng = random.Random(f"{n}:{p}:{q}")
-        assignment = dict(cert.assignment)
+        assignment = cert.assignment
         v = rng.choice(sorted(assignment))
         others = sorted(set(assignment.values()) - {assignment[v]})
-        assignment[v] = rng.choice(others)
-        return dataclasses.replace(cert, assignment=assignment)
+        overrides = {**cert.overrides, v: rng.choice(others)}
+        return dataclasses.replace(cert, overrides=overrides)
 
     monkeypatch.setattr(criticality, "critical_coloring", perturbed)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {True, False}
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_endpoints_recoloured_inside_a_match_full_scan_oracle(monkeypatch, n):
+    """Give both ends of the deleted edge an element of A that neither
+    contains: only the deleted edge joins two chords of that colour, so the
+    check must skip it for a colour <= n too."""
+    original = criticality.critical_coloring
+
+    def recoloured(n, p, q):
+        cert = original(n, p, q)
+        spare = sorted(set(cert.A) - set(p) - set(q))
+        if not spare:
+            return cert
+        ids = families.chord_index(n)
+        overrides = {**cert.overrides, ids[p]: spare[-1], ids[q]: spare[-1]}
+        return dataclasses.replace(cert, overrides=overrides)
+
+    monkeypatch.setattr(criticality, "critical_coloring", recoloured)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {True}
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_dropped_override_matches_full_scan_oracle(monkeypatch, n):
+    """Drop one override of every certificate: a chord inside A is left
+    uncoloured, and the check must find the certificate not total."""
+    original = criticality.critical_coloring
+
+    def dropped(n, p, q):
+        cert = original(n, p, q)
+        overrides = dict(cert.overrides)
+        del overrides[random.Random(f"{n}:{p}:{q}").choice(sorted(overrides))]
+        return dataclasses.replace(cert, overrides=overrides)
+
+    monkeypatch.setattr(criticality, "critical_coloring", dropped)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert not any(r.total for r in rows)
 
 
 def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chordcrit.families import (
@@ -16,7 +17,10 @@ from chordcrit.families import (
     schrijver,
     stable_subsets,
 )
-from chordcrit.graph import build_graph
+from chordcrit.graph import EXPORT_FORMATS, build_graph, export_graph
+from chordcrit.pairs import _nonadjacent_pairs, chord_table, count_pairs
+
+from helpers import PINNED, sha256
 
 from oracles import (
     brute_chords,
@@ -131,10 +135,35 @@ def test_gn_invalid():
         gn(3)
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 31))
 def test_gn_edges_match_oracle(n):
     g = gn(n)
     assert {(e.u, e.v) for e in g.edges()} == brute_gn_edges(n)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_gn_degrees_match_partner_intervals(n):
+    """Chord (a, b) has the crossing and transverse partners that the
+    census's interval formulas count: after it in chord order, (b-a-1)(n-b)
+    crossing and, when a > 1, C(b-a-2, 2) transverse; before it too, a
+    crossing for each point inside times each point outside [a, b], and,
+    when a > 1, a transverse (a', b') around it with 1 < a' < a, b' > b."""
+    g = gn(n)
+    a, b = chord_table(n)
+    inside, after = b - a - 1, n - b
+    nested = np.where(a > 1, _nonadjacent_pairs(inside), 0)
+    later = inside * after + nested
+    assert [sum(w > v for w in g.adj[v]) for v in range(g.n)] == later.tolist()
+    assert int(later.sum()) == count_pairs(n).gn_edges == g.edge_count
+    around = np.where(a > 1, (a - 2) * after, 0)
+    degree = inside * (n - b + a - 1) + nested + around
+    assert [g.degree(v) for v in range(g.n)] == degree.tolist()
+
+
+@pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+@pytest.mark.parametrize("n", range(4, 31))
+def test_gn_export_is_pinned(n, fmt):
+    assert sha256(export_graph(gn(n), fmt)) == PINNED["gn_export"][fmt][str(n)]
 
 
 @pytest.mark.parametrize("n", range(4, 13))

@@ -17,7 +17,6 @@ from chordcrit.homomorphism import (
     h_image,
     lower_bound_chain,
     mycielski_vertices,
-    render_map,
     verify_homomorphism,
 )
 from chordcrit.solver import chromatic_number
@@ -127,13 +126,6 @@ def test_base_restriction_composes_with_inclusion(n):
     big = gn(n)
     base_map = VertexMap(f"G_{n-1}", f"G_{n}", vm.mapping[: small.n])
     assert verify_homomorphism(small, big, base_map).valid
-
-
-def test_render_map():
-    g = build_graph(("a", "b"), [(0, 1)])
-    h = build_graph(("x", "y"), [(0, 1)])
-    text = render_map(VertexMap("A", "B", (1, 0)), g, h)
-    assert text == "a -> y\nb -> x\n"
 
 
 def test_violation_rendering_names_labels():

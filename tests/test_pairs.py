@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chordcrit.families import InvalidParametersError, gn_chords
-from chordcrit.pairs import census_table, chord_table, count_pairs, edge_ratio
+from chordcrit.pairs import chord_table, count_pairs, edge_ratio
 
 from oracles import brute_census, brute_gn_edges, brute_sg2_edges, enumerate_census
 
@@ -101,14 +101,6 @@ def test_invalid_parameters():
 def test_machine_row_format():
     row = count_pairs(6).row()
     assert row == "6 15 1 1 1 8 9"
-
-
-def test_census_table_contains_rows():
-    table = census_table([5, 6])
-    assert "8/9" in table
-    assert table.splitlines()[0].split() == [
-        "n", "crossing", "transverse", "lateral", "nested1", "ratio",
-    ]
 
 
 def test_paircounts_asymptotic_slacks():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from chordcrit import solver
 from chordcrit.families import gn, kneser, mycielski_iter, schrijver
 from chordcrit.graph import count_colors, delete_edge, is_proper_coloring
 from chordcrit.solver import (
@@ -11,7 +12,6 @@ from chordcrit.solver import (
     clique_bound,
     greedy_bound,
     is_k_colorable,
-    render_witness,
 )
 
 from helpers import complete_graph, cycle_graph, edgeless_graph, small_corpus
@@ -133,6 +133,20 @@ def test_chromatic_number_of_mycielski_iterates(k):
     assert chromatic_number(mycielski_iter(k)).chi == k
 
 
+def test_chromatic_number_computes_clique_once(monkeypatch):
+    calls = []
+    original = solver.clique_bound
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(solver, "clique_bound", counting)
+    res = chromatic_number(gn(8))
+    assert (res.chi, res.status) == (6, "exact")
+    assert calls == [gn(8).n]
+
+
 def test_chromatic_number_of_petersen():
     assert chromatic_number(kneser(5, 2)).chi == 3
 
@@ -183,12 +197,6 @@ def test_solver_config_validation():
         SolverConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(backtrack_check_interval=0)
-
-
-def test_render_witness():
-    g = gn(4)
-    text = render_witness(g, {0: 0, 1: 1})
-    assert text == "13 0\n24 1\n"
 
 
 # (family, n, k, seed) -> (status, backtracks, sha256 of the sorted witness),
