@@ -39,7 +39,6 @@ from .families import (
     Chord,
     InvalidParametersError,
     chord_index,
-    chord_label,
     classify_pair,
     gn,
     gn_chords,
@@ -154,10 +153,6 @@ class CertificateColoring:
     n: int
     case: CriticalCase
     edge_chords: tuple[Chord, Chord]
-    a: int
-    b: int
-    c: int
-    d: int
     x: int | None
     A: tuple[int, ...]
     overrides: dict[int, int]
@@ -253,29 +248,11 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
         n=n,
         case=sel.case,
         edge_chords=(p, q) if p < q else (q, p),
-        a=sel.a,
-        b=sel.b,
-        c=sel.c,
-        d=sel.d,
         x=x,
         A=A,
         overrides=overrides,
         special_colors=specials,
     )
-
-
-def render_certificate(cert: CertificateColoring) -> str:
-    """Certificate text: 'n case edge A x' header, then 'chord colour' lines."""
-    chords = gn_chords(cert.n)
-    names = {v: k for k, v in cert.special_colors.items()}
-    e = ",".join(chord_label(p) for p in cert.edge_chords)
-    a_txt = ",".join(str(e) for e in cert.A)
-    x_txt = str(cert.x) if cert.x is not None else "-"
-    lines = [f"{cert.n} {cert.case.value} {e} {a_txt} {x_txt}"]
-    for i, chord in enumerate(chords):
-        colour = cert.assignment[i]
-        lines.append(f"{chord_label(chord)} {names.get(colour, colour)}")
-    return "\n".join(lines) + "\n"
 
 
 class EdgeCertRow(NamedTuple):

@@ -53,10 +53,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lbl: i for i, lbl in enumerate(self.labels)}
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.adj[v]))
 

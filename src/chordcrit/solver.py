@@ -10,13 +10,11 @@ heuristically is pre-assigned the first colours.  Both breaks preserve
 completeness (any proper colouring can be relabelled into canonical form), so
 a "no" answer is exhaustive.
 
-The kernel runs in slices of a bounded number of backtracks; the wall clock
-is consulted only between slices, which keeps timeout handling cheap and the
-search itself deterministic.  The first slice is small and each slice that
-ends quickly doubles the next one, up to ``backtrack_check_interval``, so a
-budget is overrun by about one short slice whatever the kernel's speed.
-Slices resume the same search, so their sizes change no status, witness or
-backtrack count.  The kernel runs interpreted on plain Python lists (one
+The search runs as one loop and reads the wall clock only when its backtrack
+count reaches a multiple of ``backtrack_check_interval``, never per node, so
+timeout handling stays cheap and the search itself deterministic: the
+interval changes no status, witness or backtrack count, only how far a
+budget may be overrun.  The loop runs interpreted on plain Python lists (one
 neighbour tuple and one neighbour-colour-count list per vertex), which index
 without the scalar boxing that numpy arrays cost in an interpreted loop.
 """
@@ -24,29 +22,20 @@ without the scalar boxing that numpy arrays cost in an interpreted loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Coloring, Graph, count_colors
-
-_SAT = 1
-_UNSAT = 2
-_PAUSED = 0
-
-# Slice sizing: backtracks in the first slice, and the wall time under which
-# a slice is doubled.
-_FIRST_SLICE = 256
-_SLICE_TARGET_S = 0.05
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     time_budget: float = 60.0
     seed: int = 0
-    # Timeout granularity: the wall clock is checked at least once per this
-    # many backtracks, never per node.
-    backtrack_check_interval: int = 200_000
+    # Timeout granularity: the wall clock is read once per this many
+    # backtracks, never per node (about every 8 ms at 1024).
+    backtrack_check_interval: int = 1_024
 
     def __post_init__(self) -> None:
         if not self.time_budget > 0:  # also rejects NaN
@@ -72,86 +61,6 @@ class ChromaticResult:
     status: str  # "exact" | "timeout_with_bounds"
     lower_bound: int
     upper_bound: int
-
-
-def _search_slice(nbrs, k, degree, rank, color, ncc, sat,
-                  stack_vertex, stack_color, stack_prev_max, state,
-                  max_backtracks):
-    """Resumable exact-search slice; returns (status, backtracks_used).
-
-    nbrs[v] is v's neighbour tuple and ncc[v][c] the number of v's neighbours
-    coloured c.  state = [depth, max_used, mode, fixed_prefix].  mode 0
-    selects a vertex for the current depth, mode 1 advances the colour of
-    the vertex already on the stack.  Backtracking below fixed_prefix (the
-    pre-assigned clique) proves unsatisfiability.
-    """
-    n = len(color)
-    depth, max_used, mode, fixed = state
-    backtracks = 0
-    while True:
-        if mode == 0:
-            if depth == n:
-                state[:3] = depth, max_used, mode
-                return _SAT, backtracks
-            v = -1
-            best_sat = -1
-            best_deg = -1
-            best_rank = 0
-            for u in range(n):
-                if color[u] < 0:
-                    su = sat[u]
-                    if su < best_sat:
-                        continue
-                    du = degree[u]
-                    if (su > best_sat or du > best_deg
-                            or (du == best_deg and rank[u] < best_rank)):
-                        v = u
-                        best_sat = su
-                        best_deg = du
-                        best_rank = rank[u]
-            stack_vertex[depth] = v
-            stack_prev_max[depth] = max_used
-            start_c = 0
-        else:
-            if depth < fixed:
-                state[:3] = depth, max_used, mode
-                return _UNSAT, backtracks
-            v = stack_vertex[depth]
-            c_old = stack_color[depth]
-            color[v] = -1
-            for nb in nbrs[v]:
-                counts = ncc[nb]
-                counts[c_old] -= 1
-                if counts[c_old] == 0:
-                    sat[nb] -= 1
-            max_used = stack_prev_max[depth]
-            start_c = c_old + 1
-        limit = min(max_used + 1, k - 1)
-        counts = ncc[v]
-        c = -1
-        for cc in range(start_c, limit + 1):
-            if counts[cc] == 0:
-                c = cc
-                break
-        if c < 0:
-            depth -= 1
-            mode = 1
-            backtracks += 1
-            if backtracks >= max_backtracks:
-                state[:3] = depth, max_used, mode
-                return _PAUSED, backtracks
-        else:
-            color[v] = c
-            stack_color[depth] = c
-            for nb in nbrs[v]:
-                counts = ncc[nb]
-                if counts[c] == 0:
-                    sat[nb] += 1
-                counts[c] += 1
-            if c > max_used:
-                max_used = c
-            depth += 1
-            mode = 0
 
 
 def greedy_bound(g: Graph) -> Coloring:
@@ -229,11 +138,19 @@ def is_k_colorable(
         return ColorDecision("yes", witness={})
     if k == 0:
         return ColorDecision("no")
-    return _search(g, k, cfg, clique_bound(g))
+    return _search(g, k, cfg, clique_bound(g), time.monotonic() + cfg.time_budget)
 
 
-def _search(g: Graph, k: int, cfg: SolverConfig, clique: list[int]) -> ColorDecision:
-    """``is_k_colorable`` for a non-empty g and k >= 1, given a clique of g."""
+def _search(
+    g: Graph, k: int, cfg: SolverConfig, clique: list[int], deadline: float
+) -> ColorDecision:
+    """``is_k_colorable`` for a non-empty g and k >= 1, given a clique of g.
+
+    nbrs[v] is v's neighbour tuple and ncc[v][c] the number of v's neighbours
+    coloured c.  While ``advance`` is false the loop selects a vertex for the
+    current depth; while it is true it advances the colour of the vertex
+    already on the stack.  ``deadline`` is a ``time.monotonic()`` value.
+    """
     if len(clique) > k:
         return ColorDecision("no")
 
@@ -263,29 +180,77 @@ def _search(g: Graph, k: int, cfg: SolverConfig, clique: list[int]) -> ColorDeci
             if ncc[w][c] == 0:
                 sat[w] += 1
             ncc[w][c] += 1
-    q = len(seed_clique)
-    state = [q, q - 1, 0, q]
+    fixed = depth = len(seed_clique)
+    max_used = fixed - 1
 
-    deadline = time.monotonic() + cfg.time_budget
-    slice_size = min(_FIRST_SLICE, cfg.backtrack_check_interval)
-    total_backtracks = 0
+    interval = cfg.backtrack_check_interval
+    next_check = interval
+    backtracks = 0
+    advance = False
     while True:
-        started = time.monotonic()
-        status, used = _search_slice(
-            nbrs, k, degree, rank, color, ncc, sat,
-            stack_vertex, stack_color, stack_prev_max, state, slice_size,
-        )
-        total_backtracks += used
-        if status == _SAT:
-            witness = dict(enumerate(color))
-            return ColorDecision("yes", witness=witness, backtracks=total_backtracks)
-        if status == _UNSAT:
-            return ColorDecision("no", backtracks=total_backtracks)
-        now = time.monotonic()
-        if now >= deadline:
-            return ColorDecision("timeout", backtracks=total_backtracks)
-        if now - started < _SLICE_TARGET_S:
-            slice_size = min(2 * slice_size, cfg.backtrack_check_interval)
+        if not advance:
+            if depth == n:
+                witness = dict(enumerate(color))
+                return ColorDecision("yes", witness=witness, backtracks=backtracks)
+            v = -1
+            best_sat = -1
+            best_deg = -1
+            best_rank = 0
+            for u in range(n):
+                if color[u] < 0:
+                    su = sat[u]
+                    if su < best_sat:
+                        continue
+                    du = degree[u]
+                    if (su > best_sat or du > best_deg
+                            or (du == best_deg and rank[u] < best_rank)):
+                        v = u
+                        best_sat = su
+                        best_deg = du
+                        best_rank = rank[u]
+            stack_vertex[depth] = v
+            stack_prev_max[depth] = max_used
+            start_c = 0
+        else:
+            if depth < fixed:
+                return ColorDecision("no", backtracks=backtracks)
+            v = stack_vertex[depth]
+            c_old = stack_color[depth]
+            color[v] = -1
+            for nb in nbrs[v]:
+                counts = ncc[nb]
+                counts[c_old] -= 1
+                if counts[c_old] == 0:
+                    sat[nb] -= 1
+            max_used = stack_prev_max[depth]
+            start_c = c_old + 1
+        limit = min(max_used + 1, k - 1)
+        counts = ncc[v]
+        c = -1
+        for cc in range(start_c, limit + 1):
+            if counts[cc] == 0:
+                c = cc
+                break
+        if c < 0:
+            depth -= 1
+            advance = True
+            backtracks += 1
+            if backtracks == next_check:
+                if time.monotonic() >= deadline:
+                    return ColorDecision("timeout", backtracks=backtracks)
+                next_check += interval
+        else:
+            color[v] = c
+            stack_color[depth] = c
+            for nb in nbrs[v]:
+                counts = ncc[nb]
+                if counts[c] == 0:
+                    sat[nb] += 1
+                counts[c] += 1
+            if c > max_used:
+                max_used = c
+            depth += 1
+            advance = False
 
 
 def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResult:
@@ -305,23 +270,17 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     upper = count_colors(witness)
     deadline = time.monotonic() + cfg.time_budget
 
-    k = upper - 1
-    while k >= lower:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return ChromaticResult(
-                upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
-            )
-        decision = _search(g, k, replace(cfg, time_budget=remaining), clique)
-        if decision.status == "yes":
-            witness = decision.witness or {}
-            upper = k
-            k -= 1
-        elif decision.status == "no":
-            lower = k + 1
-            break
+    for k in range(upper - 1, lower - 1, -1):
+        if time.monotonic() >= deadline:
+            decision = ColorDecision("timeout")
         else:
+            decision = _search(g, k, cfg, clique, deadline)
+        if decision.status == "timeout":
             return ChromaticResult(
                 upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
             )
+        if decision.status == "no":
+            break
+        witness = decision.witness or {}
+        upper = k
     return ChromaticResult(upper, witness, tuple(clique), "exact", upper, upper)

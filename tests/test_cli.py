@@ -57,7 +57,7 @@ def test_verify_edge_critical_with_solver(capsys):
 
 def test_verify_edge_critical_solver_timeout_exit_code(capsys):
     # the unsatisfiability proof at n=12 takes millions of backtracks, so it
-    # cannot finish inside the first solver slice
+    # cannot finish before the solver's first clock read
     code, out, _ = run(
         capsys, "verify", "edge-critical", "--n", "12", "--with-solver",
         "--budget-seconds", "1e-9",

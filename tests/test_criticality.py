@@ -10,7 +10,6 @@ from chordcrit.criticality import (
     NotAnEdgeError,
     critical_coloring,
     min_based_coloring,
-    render_certificate,
     select_case,
     verify_edge_criticality,
     verify_vertex_criticality,
@@ -239,16 +238,6 @@ def test_solver_agrees_deleted_edges_need_n_minus_3(n):
         res = chromatic_number(delete_edge(g, e))
         assert res.status == "exact"
         assert res.chi == n - 3
-
-
-def test_render_certificate_layout():
-    cert = critical_coloring(6, (2, 6), (3, 5))
-    text = render_certificate(cert)
-    lines = text.splitlines()
-    assert lines[0] == "6 transverse 26,35 1,2,3,4,5,6 4"
-    assert "26 l3" in lines
-    assert "35 l3" in lines
-    assert len(lines) == 1 + 9
 
 
 def test_verify_edge_criticality_report():

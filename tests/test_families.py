@@ -126,7 +126,7 @@ def test_gn_small_cases():
     assert is_cycle(gn(5), 5)
     g6 = gn(6)
     assert (g6.n, g6.edge_count) == (9, 16)
-    u, v = g6.label_index["26"], g6.label_index["35"]
+    u, v = g6.labels.index("26"), g6.labels.index("35")
     assert g6.has_edge(u, v)  # the one transverse edge
 
 

@@ -54,15 +54,15 @@ def test_delete_edge_c5_leaves_2_colorable_path():
 def test_delete_edge_g6():
     g6 = gn(6)
     assert g6.edge_count == len(brute_gn_edges(6)) == 16
-    u = g6.label_index["26"]
-    v = g6.label_index["35"]
+    u = g6.labels.index("26")
+    v = g6.labels.index("35")
     assert delete_edge(g6, (u, v)).edge_count == 15
 
 
 def test_delete_edge_missing_raises():
     g6 = gn(6)
-    u = g6.label_index["13"]
-    v = g6.label_index["46"]  # lateral pair, not an edge
+    u = g6.labels.index("13")
+    v = g6.labels.index("46")  # lateral pair, not an edge
     assert not g6.has_edge(u, v)
     with pytest.raises(MissingEdgeError):
         delete_edge(g6, (u, v))

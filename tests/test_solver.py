@@ -61,7 +61,7 @@ def test_is_k_colorable_odd_cycle():
 def test_is_k_colorable_g6_and_deleted_edge():
     g6 = gn(6)
     assert is_k_colorable(g6, 3).status == "no"
-    u, v = g6.label_index["26"], g6.label_index["35"]
+    u, v = g6.labels.index("26"), g6.labels.index("35")
     relaxed = is_k_colorable(delete_edge(g6, (u, v)), 3)
     assert relaxed.status == "yes"
     assert is_proper_coloring(delete_edge(g6, (u, v)), relaxed.witness).proper
@@ -109,9 +109,18 @@ def test_timeout_is_distinct_from_no():
     assert out.status == "timeout"
 
 
+@pytest.mark.parametrize("interval", [1, 100, 1000, 5000])
+def test_clock_read_every_check_interval(interval):
+    # The proof that G_10 is not 7-colourable takes 5291 backtracks, and the
+    # budget has run out by the first clock read.
+    cfg = SolverConfig(time_budget=1e-9, backtrack_check_interval=interval)
+    out = is_k_colorable(gn(10), 7, cfg)
+    assert (out.status, out.backtracks) == ("timeout", interval)
+
+
 def test_timeout_overshoot_is_bounded():
-    # G_12 is not 9-colourable, and its proof needs far more than the 200k
-    # backtracks of the default check interval.
+    # G_12 is not 9-colourable, and its proof needs millions of backtracks,
+    # so the search must stop at a clock read of the default check interval.
     g = gn(12)
     start = time.monotonic()
     out = is_k_colorable(g, 9, SolverConfig(time_budget=0.01))
