@@ -62,5 +62,3 @@ from .homomorphism import (
     verify_homomorphism,
 )
 from .diagrams import chord_diagram
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -98,28 +98,12 @@ def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
     """
     if not all(1 <= x <= n for x in A):
         raise InvalidParametersError(f"A must be a subset of [{n}]")
-    # Only the chords (x, y), x < y, with x in A differ from the colouring
-    # for an empty A.  Chord ids are lexicographic, so for one x they are
-    # consecutive from (x, x+2) on.
-    coloring = _smaller_element_coloring(n).copy()
-    ids = chord_index(n)
-    for x in A:
-        i = ids.get((x, x + 2))
-        if i is None:
-            continue
-        for y in range(x + 2, n if x == 1 else n + 1):
-            if y in A:
-                del coloring[i]
-            else:
-                coloring[i] = y
-            i += 1
+    coloring: Coloring = {}
+    for i, p in enumerate(gn_chords(n)):
+        c = _min_color(p, A)
+        if c is not None:
+            coloring[i] = c
     return coloring
-
-
-@lru_cache(maxsize=4)
-def _smaller_element_coloring(n: int) -> dict[int, int]:
-    """Each chord of gn(n) coloured by its smaller element; callers copy it."""
-    return {i: x for i, (x, _) in enumerate(gn_chords(n))}
 
 
 def _min_color(p: Chord, A: set[int]) -> int | None:

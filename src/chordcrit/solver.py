@@ -5,11 +5,14 @@ picking the uncoloured vertex of maximum saturation (distinct neighbour
 colours), breaking ties by degree and then by a seed-derived rank; the greedy
 upper bound picks the same way but breaks the last ties by vertex id.  Colour
 symmetry is broken canonically: a vertex may only reuse a colour already on
-the board or introduce the single next new one, and a maximum clique found
-heuristically is pre-assigned the first colours.  Both breaks preserve
+the board or introduce the single next new one, and a clique is
+pre-assigned the first colours.  The clique is grown greedily once, from the
+vertex of highest degree; it need not be maximum.  Both breaks preserve
 completeness (any proper colouring can be relabelled into canonical form), so
 a "no" answer is exhaustive.
 
+The time budget starts when ``is_k_colorable`` or ``chromatic_number`` is
+called, so it covers the clique and the greedy bound as well as the search.
 The search runs as one loop and reads the wall clock only when its backtrack
 count reaches a multiple of ``backtrack_check_interval``, never per node, so
 timeout handling stays cheap and the search itself deterministic: the
@@ -31,6 +34,8 @@ from .graph import Coloring, Graph, count_colors
 
 @dataclass(frozen=True)
 class SolverConfig:
+    # Wall-clock seconds per call, counted from the call's start: the clique
+    # and the greedy bound spend it too.
     time_budget: float = 60.0
     seed: int = 0
     # Timeout granularity: the wall clock is read once per this many
@@ -83,44 +88,22 @@ def greedy_bound(g: Graph) -> Coloring:
 
 
 def clique_bound(g: Graph) -> list[int]:
-    """A clique found greedily with a 1-out/2-in improvement pass.
+    """A clique grown greedily from the vertex of highest degree.
 
-    Its size is a valid lower bound on the chromatic number.
+    Each step adds the candidate with the most neighbours among the
+    candidates, then the highest degree, then the lowest id.  Its size is a
+    valid lower bound on the chromatic number.
     """
     if g.n == 0:
         return []
-    best: list[int] = [0]
-
-    def grow(clique: list[int], candidates: set[int]) -> list[int]:
-        clique = list(clique)
-        cands = set(candidates)
-        while cands:
-            v = max(cands, key=lambda u: (len(g.adj[u] & cands), g.degree(u), -u))
-            clique.append(v)
-            cands &= g.adj[v]
-        return clique
-
-    seeds = sorted(range(g.n), key=lambda u: (-g.degree(u), u))[: min(g.n, 32)]
-    for s in seeds:
-        clique = grow([s], set(g.adj[s]))
-        if len(clique) > len(best):
-            best = clique
-    # Local improvement: dropping one member may admit two replacements.
-    improved = True
-    while improved:
-        improved = False
-        for drop in list(best):
-            rest = [v for v in best if v != drop]
-            cands = set(range(g.n)) - set(rest)
-            for v in rest:
-                cands &= g.adj[v] | {v}
-            cands.discard(drop)
-            candidate = grow(rest, {c for c in cands if c not in rest})
-            if len(candidate) > len(best):
-                best = candidate
-                improved = True
-                break
-    return sorted(best)
+    v = min(range(g.n), key=lambda u: (-g.degree(u), u))
+    clique = [v]
+    cands = set(g.adj[v])
+    while cands:
+        v = max(cands, key=lambda u: (len(g.adj[u] & cands), g.degree(u), -u))
+        clique.append(v)
+        cands &= g.adj[v]
+    return sorted(clique)
 
 
 def is_k_colorable(
@@ -138,7 +121,8 @@ def is_k_colorable(
         return ColorDecision("yes", witness={})
     if k == 0:
         return ColorDecision("no")
-    return _search(g, k, cfg, clique_bound(g), time.monotonic() + cfg.time_budget)
+    deadline = time.monotonic() + cfg.time_budget
+    return _search(g, k, cfg, clique_bound(g), deadline)
 
 
 def _search(
@@ -264,11 +248,11 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     cfg = cfg or SolverConfig()
     if g.n == 0:
         return ChromaticResult(0, {}, (), "exact", 0, 0)
+    deadline = time.monotonic() + cfg.time_budget
     clique = clique_bound(g)
     lower = max(1, len(clique))
     witness = greedy_bound(g)
     upper = count_colors(witness)
-    deadline = time.monotonic() + cfg.time_budget
 
     for k in range(upper - 1, lower - 1, -1):
         if time.monotonic() >= deadline:

@@ -14,7 +14,14 @@ from chordcrit.solver import (
     is_k_colorable,
 )
 
-from helpers import complete_graph, cycle_graph, edgeless_graph, small_corpus
+from helpers import (
+    PINNED,
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    sha256,
+    small_corpus,
+)
 from oracles import brute_chromatic, brute_is_k_colorable
 
 
@@ -47,6 +54,15 @@ def test_clique_bound_returns_actual_clique():
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
                 assert g.has_edge(u, v)
+
+
+def test_clique_bound_is_pinned():
+    builders = {"gn": gn, "schrijver_k2": lambda n: schrijver(n, 2),
+                "mycielski_iter": mycielski_iter}
+    for family, digests in PINNED["clique_bound"].items():
+        for size, digest in digests.items():
+            g = builders[family](int(size))
+            assert sha256(repr(clique_bound(g))) == digest, (family, size)
 
 
 def test_is_k_colorable_odd_cycle():
@@ -126,6 +142,22 @@ def test_timeout_overshoot_is_bounded():
     out = is_k_colorable(g, 9, SolverConfig(time_budget=0.01))
     assert out.status == "timeout"
     assert time.monotonic() - start < 1.0
+
+
+def test_time_budget_covers_setup(monkeypatch):
+    # The clique alone outlasts the budget, so the search stops at its first
+    # clock read, and chromatic_number before its first search.
+    original = solver.clique_bound
+
+    def slow(g):
+        time.sleep(0.2)
+        return original(g)
+
+    monkeypatch.setattr(solver, "clique_bound", slow)
+    cfg = SolverConfig(time_budget=0.1, backtrack_check_interval=1)
+    out = is_k_colorable(gn(11), 8, cfg)
+    assert (out.status, out.backtracks) == ("timeout", 1)
+    assert chromatic_number(gn(8), cfg).status == "timeout_with_bounds"
 
 
 @pytest.mark.parametrize("n", range(4, 8))
