@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_diagram(args)
-    except (InvalidParametersError, ValueError) as exc:
+    except (InvalidParametersError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

@@ -365,10 +365,9 @@ def verify_edge_criticality(
     """
     g = gn(n)
     chords = gn_chords(n)
-    edges = list(g.edges())
-    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in edges):
+    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in g.edges()):
         raise AssertionError(f"gn({n}) has an edge between intersecting chords")
-    rows = tuple(_certify_one(n, g, chords, e) for e in edges)
+    rows = tuple(_certify_one(n, g, chords, e) for e in g.edges())
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(g, n - 3, cfg).status

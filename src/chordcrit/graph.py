@@ -204,6 +204,10 @@ def parse_graph(text: str) -> Graph:
     edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if u < v]
     for u, nbrs in adj.items():
         for v in nbrs:
+            if v == u:
+                raise GraphFormatError(f"self-loop at {u}")
+            if v not in adj:
+                raise GraphFormatError(f"neighbour {v} of {u} is not a vertex")
             if u not in adj[v]:
                 raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
     return build_graph([labels[i] for i in range(n)], edges, n_hint)

@@ -1,12 +1,14 @@
 """Exact k-colourability and chromatic number by complete backtracking.
 
-There is one vertex order.  The search colours one vertex per depth,
-picking the uncoloured vertex of maximum saturation (distinct neighbour
-colours), breaking ties by degree and then by a seed-derived rank; the greedy
-upper bound picks the same way but breaks the last ties by vertex id.  Colour
-symmetry is broken canonically: a vertex may only reuse a colour already on
-the board or introduce the single next new one, and a clique is
-pre-assigned the first colours.  The clique is grown greedily once, from the
+Every colouring comes from one search loop, ``_search``, which accepts any
+graph and any k >= 0.  It colours one vertex per depth, picking the
+uncoloured vertex of maximum saturation (distinct neighbour colours),
+breaking ties by degree and then by a rank: seed-derived in the exact search,
+the vertex id in the greedy upper bound, which is the loop's first descent
+with 1 + max degree colours and so never backtracks.  Colour symmetry is
+broken canonically: a vertex may only reuse a colour already on the board or
+introduce the single next new one, and the loop places a clique at the first
+depths, in the first colours.  The clique is grown greedily once, from the
 vertex of highest degree; it need not be maximum.  Both breaks preserve
 completeness (any proper colouring can be relabelled into canonical form), so
 a "no" answer is exhaustive.
@@ -24,6 +26,7 @@ without the scalar boxing that numpy arrays cost in an interpreted loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -69,22 +72,14 @@ class ChromaticResult:
 
 
 def greedy_bound(g: Graph) -> Coloring:
-    """Proper colouring by first fit, most saturated uncoloured vertex first."""
-    coloring: Coloring = {}
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if u not in coloring),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        coloring[v] = c
-        for w in g.adj[v]:
-            if w not in coloring:
-                neighbor_colors[w].add(c)
-    return coloring
+    """Proper colouring by first fit, most saturated uncoloured vertex first.
+
+    This is the search's first descent with 1 + max degree colours and the
+    last ties broken by vertex id: first fit then always finds a colour, so
+    the descent never backtracks.
+    """
+    k = 1 + max((g.degree(v) for v in range(g.n)), default=0)
+    return _search(g, k, list(range(g.n)), [], math.inf, 1).witness or {}
 
 
 def clique_bound(g: Graph) -> list[int]:
@@ -117,23 +112,32 @@ def is_k_colorable(
     if k < 0:
         raise ValueError("k must be >= 0")
     cfg = cfg or SolverConfig()
-    if g.n == 0:
-        return ColorDecision("yes", witness={})
-    if k == 0:
-        return ColorDecision("no")
     deadline = time.monotonic() + cfg.time_budget
-    return _search(g, k, cfg, clique_bound(g), deadline)
+    return _search(g, k, _rank(g.n, cfg.seed), clique_bound(g), deadline,
+                   cfg.backtrack_check_interval)
+
+
+def _rank(n: int, seed: int) -> list[int]:
+    """The seed's tie-break rank of each vertex: a random permutation."""
+    rng = np.random.default_rng(seed)
+    return np.argsort(rng.permutation(n)).tolist()
 
 
 def _search(
-    g: Graph, k: int, cfg: SolverConfig, clique: list[int], deadline: float
+    g: Graph, k: int, rank: list[int], clique: list[int], deadline: float,
+    interval: int,
 ) -> ColorDecision:
-    """``is_k_colorable`` for a non-empty g and k >= 1, given a clique of g.
+    """``is_k_colorable`` for any g and k >= 0, given a clique of g.
 
-    nbrs[v] is v's neighbour tuple and ncc[v][c] the number of v's neighbours
-    coloured c.  While ``advance`` is false the loop selects a vertex for the
-    current depth; while it is true it advances the colour of the vertex
-    already on the stack.  ``deadline`` is a ``time.monotonic()`` value.
+    Each depth colours the uncoloured vertex of maximum saturation, then
+    degree, then least ``rank``, except that depth d < len(clique) takes
+    ``clique[d]``, which first fit gives colour d; backtracking into that
+    prefix proves "no".  nbrs[v] is v's neighbour tuple and ncc[v][c] the
+    number of v's neighbours coloured c; no colour reaches n, so a row has
+    min(k, n) entries.  While ``advance`` is false the loop selects a vertex
+    for the current depth; while it is true it advances the colour of the
+    vertex already on the stack.  ``deadline`` is a ``time.monotonic()``
+    value, read once per ``interval`` backtracks.
     """
     if len(clique) > k:
         return ColorDecision("no")
@@ -141,33 +145,16 @@ def _search(
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     degree = [len(nb) for nb in nbrs]
-    rng = np.random.default_rng(cfg.seed)
-    rank = np.argsort(rng.permutation(n)).tolist()
-
     color = [-1] * n
-    ncc = [[0] * k for _ in range(n)]
+    ncc = [[0] * min(k, n) for _ in range(n)]
     sat = [0] * n
     stack_vertex = [0] * n
     stack_color = [0] * n
     stack_prev_max = [0] * n
 
-    # Pre-assign the clique to colours 0..q-1; backtracking below this
-    # prefix is unsatisfiability.
-    seed_clique = clique[:k]
-    for depth, v in enumerate(seed_clique):
-        c = depth
-        stack_vertex[depth] = v
-        stack_color[depth] = c
-        stack_prev_max[depth] = c - 1
-        color[v] = c
-        for w in nbrs[v]:
-            if ncc[w][c] == 0:
-                sat[w] += 1
-            ncc[w][c] += 1
-    fixed = depth = len(seed_clique)
-    max_used = fixed - 1
-
-    interval = cfg.backtrack_check_interval
+    fixed = len(clique)
+    max_used = -1
+    depth = 0
     next_check = interval
     backtracks = 0
     advance = False
@@ -176,22 +163,25 @@ def _search(
             if depth == n:
                 witness = dict(enumerate(color))
                 return ColorDecision("yes", witness=witness, backtracks=backtracks)
-            v = -1
-            best_sat = -1
-            best_deg = -1
-            best_rank = 0
-            for u in range(n):
-                if color[u] < 0:
-                    su = sat[u]
-                    if su < best_sat:
-                        continue
-                    du = degree[u]
-                    if (su > best_sat or du > best_deg
-                            or (du == best_deg and rank[u] < best_rank)):
-                        v = u
-                        best_sat = su
-                        best_deg = du
-                        best_rank = rank[u]
+            if depth < fixed:
+                v = clique[depth]
+            else:
+                v = -1
+                best_sat = -1
+                best_deg = -1
+                best_rank = 0
+                for u in range(n):
+                    if color[u] < 0:
+                        su = sat[u]
+                        if su < best_sat:
+                            continue
+                        du = degree[u]
+                        if (su > best_sat or du > best_deg
+                                or (du == best_deg and rank[u] < best_rank)):
+                            v = u
+                            best_sat = su
+                            best_deg = du
+                            best_rank = rank[u]
             stack_vertex[depth] = v
             stack_prev_max[depth] = max_used
             start_c = 0
@@ -246,11 +236,10 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     search.
     """
     cfg = cfg or SolverConfig()
-    if g.n == 0:
-        return ChromaticResult(0, {}, (), "exact", 0, 0)
     deadline = time.monotonic() + cfg.time_budget
+    rank = _rank(g.n, cfg.seed)
     clique = clique_bound(g)
-    lower = max(1, len(clique))
+    lower = len(clique)
     witness = greedy_bound(g)
     upper = count_colors(witness)
 
@@ -258,7 +247,8 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
         if time.monotonic() >= deadline:
             decision = ColorDecision("timeout")
         else:
-            decision = _search(g, k, cfg, clique, deadline)
+            decision = _search(g, k, rank, clique, deadline,
+                               cfg.backtrack_check_interval)
         if decision.status == "timeout":
             return ChromaticResult(
                 upper, witness, tuple(clique), "timeout_with_bounds", lower, upper

@@ -94,6 +94,16 @@ def test_verify_nan_budget_is_param_error(capsys):
     assert "time_budget" in err
 
 
+def test_unwritable_out_is_param_error(capsys, tmp_path):
+    for out_path in (tmp_path, tmp_path / "missing" / "chi.txt"):
+        code, out, err = run(
+            capsys, "verify", "chromatic", "--n", "5", "--out", str(out_path)
+        )
+        assert code == EXIT_PARAM
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_verify_chromatic(capsys):
     code, out, _ = run(capsys, "verify", "chromatic", "--n", "7")
     assert code == EXIT_OK

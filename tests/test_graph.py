@@ -159,3 +159,15 @@ def test_parse_graph_rejects_garbage():
     text = export_graph(gn(5), "structured")
     with pytest.raises(GraphFormatError):
         parse_graph(text.replace("end", ""))
+
+
+def test_parse_graph_rejects_neighbour_outside_vertices():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("adj 0 1 3", "adj 0 1 3 4"))
+
+
+def test_parse_graph_rejects_self_loop():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("adj 0 1 3", "adj 0 0 1 3"))

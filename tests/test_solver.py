@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -65,6 +66,29 @@ def test_clique_bound_is_pinned():
             assert sha256(repr(clique_bound(g))) == digest, (family, size)
 
 
+PINNED_BUILDERS = {"gn": gn, "schrijver_k2": lambda n: schrijver(n, 2),
+                   "mycielski_iter": mycielski_iter}
+
+
+def test_greedy_bound_is_pinned():
+    for family, digests in PINNED["greedy_bound"].items():
+        for size, digest in digests.items():
+            g = PINNED_BUILDERS[family](int(size))
+            got = sha256(repr(sorted(greedy_bound(g).items())))
+            assert got == digest, (family, size)
+
+
+def test_chromatic_number_is_pinned():
+    for family, digests in PINNED["chromatic_number"].items():
+        for key, digest in digests.items():
+            size, seed = key.split("/")
+            g = PINNED_BUILDERS[family](int(size))
+            r = chromatic_number(g, SolverConfig(seed=int(seed)))
+            got = sha256(repr((r.chi, r.status, r.lower_bound, r.upper_bound,
+                               r.lower_bound_witness, sorted(r.witness.items()))))
+            assert got == digest, (family, key)
+
+
 def test_is_k_colorable_odd_cycle():
     c5 = cycle_graph(5)
     assert is_k_colorable(c5, 2).status == "no"
@@ -89,6 +113,19 @@ def test_is_k_colorable_edge_cases():
     assert is_k_colorable(edgeless_graph(3), 1).status == "yes"
     with pytest.raises(ValueError):
         is_k_colorable(cycle_graph(3), -1)
+
+
+def test_counters_do_not_grow_with_k():
+    # No colour index reaches n, so a huge k costs no more than k = n.
+    g = gn(9)
+    tracemalloc.start()
+    try:
+        out = is_k_colorable(g, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.status == "yes"
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("name,g", small_corpus())
