@@ -53,12 +53,5 @@ from .criticality import (
     verify_edge_criticality,
     verify_vertex_criticality,
 )
-from .homomorphism import (
-    MycielskiVertex,
-    VertexMap,
-    build_h,
-    h_image,
-    lower_bound_chain,
-    verify_homomorphism,
-)
+from .homomorphism import build_h, lower_bound_chain, verify_homomorphism
 from .diagrams import chord_diagram

@@ -125,22 +125,23 @@ def _min_class_size(n: int, A: tuple[int, ...], e: int) -> int:
 
 @dataclass
 class CertificateColoring:
-    """Colouring of gn(n) that is proper once `edge_chords` is deleted.
+    """Certificate colouring for one edge of gn(n), proper once that edge is
+    deleted.
 
     Chord v gets colour ``overrides[v]`` when v is overridden and its
-    min-based colour min(v \\ A) otherwise.  Read-only by convention:
-    ``assignment`` is cached from the other fields on first read.  It is
-    not frozen because a sweep builds one per edge, and field-by-field
-    frozen construction costs several percent of the sweep.
+    min-based colour min(v \\ A) otherwise.  The overrides use the fresh
+    colours n+1, n+2, ..., one per special class of the edge's case.
+    Read-only by convention: ``assignment`` is cached from the other fields
+    on first read.  It is not frozen because a sweep builds one per edge,
+    and field-by-field frozen construction costs several percent of the
+    sweep.
     """
 
     n: int
     case: CriticalCase
-    edge_chords: tuple[Chord, Chord]
     x: int | None
     A: tuple[int, ...]
     overrides: dict[int, int]
-    special_colors: dict[str, int]
 
     @cached_property
     def assignment(self) -> Coloring:
@@ -219,11 +220,8 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
     A = tuple(sorted(set(chain.from_iterable(chain.from_iterable(raw_classes)))))
 
     ids = chord_index(n)
-    specials: dict[str, int] = {}
     overrides: dict[int, int] = {}
-    for idx, raw in enumerate(raw_classes, start=1):
-        color_id = n + idx
-        specials[f"l{idx}"] = color_id
+    for color_id, raw in enumerate(raw_classes, start=n + 1):
         for pair in raw:
             i = ids.get(pair)
             if i is not None:  # the pair is a stable chord
@@ -231,11 +229,9 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
     return CertificateColoring(
         n=n,
         case=sel.case,
-        edge_chords=(p, q) if p < q else (q, p),
         x=x,
         A=A,
         overrides=overrides,
-        special_colors=specials,
     )
 
 

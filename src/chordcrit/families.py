@@ -136,32 +136,28 @@ def classify_pair(p: Chord, q: Chord, n: int) -> PairClass:
     return PairClass.TRANSVERSE
 
 
+def _disjointness_graph(n: int, verts: list[tuple[int, ...]]) -> Graph:
+    """Subsets of [n] as vertices, in the given order; edges join disjoint ones."""
+    sets = [frozenset(v) for v in verts]
+    edges = [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if not sets[i] & sets[j]
+    ]
+    return build_graph([subset_label(v) for v in verts], edges, n_hint=n)
+
+
 def kneser(n: int, k: int) -> Graph:
     """All k-subsets of [n]; edges join disjoint subsets."""
     if k < 1 or n < 2 * k:
         raise InvalidParametersError(f"need n >= 2k >= 2, got n={n}, k={k}")
-    verts = list(combinations(range(1, n + 1), k))
-    sets = [frozenset(v) for v in verts]
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if not sets[i] & sets[j]
-    ]
-    return build_graph([subset_label(v) for v in verts], edges, n_hint=n)
+    return _disjointness_graph(n, list(combinations(range(1, n + 1), k)))
 
 
 def schrijver(n: int, k: int) -> Graph:
     """Induced subgraph of kneser(n, k) on the stable k-subsets."""
-    verts = stable_subsets(n, k)
-    sets = [frozenset(v) for v in verts]
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if not sets[i] & sets[j]
-    ]
-    return build_graph([subset_label(v) for v in verts], edges, n_hint=n)
+    return _disjointness_graph(n, stable_subsets(n, k))
 
 
 # Chord lists are kept for a few n only: an edge sweep needs one n, the

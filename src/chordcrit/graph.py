@@ -173,8 +173,18 @@ def export_graph(g: Graph, format: str = "dimacs") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_int(text: str, ln: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphFormatError(f"non-integer field {text!r} in {ln!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse a structured-format record back into a Graph."""
+    """Parse a structured-format record back into a Graph.
+
+    Every malformed record raises GraphFormatError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != STRUCTURED_HEADER:
         raise GraphFormatError(f"missing header {STRUCTURED_HEADER!r}")
@@ -188,15 +198,24 @@ def parse_graph(text: str) -> Graph:
     for ln in body:
         key, _, rest = ln.partition(" ")
         if key == "vertices":
-            n = int(rest)
+            n = _field_int(rest, ln)
+            if n < 0:
+                raise GraphFormatError(f"negative vertex count in {ln!r}")
         elif key == "n_hint":
-            n_hint = None if rest == "-" else int(rest)
+            n_hint = None if rest == "-" else _field_int(rest, ln)
         elif key == "label":
             idx, _, lbl = rest.partition(" ")
-            labels[int(idx)] = lbl
+            i = _field_int(idx, ln)
+            if i in labels:
+                raise GraphFormatError(f"repeated label for vertex {i}")
+            labels[i] = lbl
         elif key == "adj":
-            parts = rest.split()
-            adj[int(parts[0])] = [int(p) for p in parts[1:]]
+            ids = [_field_int(p, ln) for p in rest.split()]
+            if not ids:
+                raise GraphFormatError(f"adj record without a vertex id: {ln!r}")
+            if ids[0] in adj:
+                raise GraphFormatError(f"repeated adj record for vertex {ids[0]}")
+            adj[ids[0]] = ids[1:]
         else:
             raise GraphFormatError(f"unknown record line {ln!r}")
     if n is None or sorted(labels) != list(range(n)) or sorted(adj) != list(range(n)):

@@ -33,13 +33,12 @@ def chord_of(n, label):
 
 
 def classes_by_special(n, cert):
+    """Fresh class li is the overridden chords of colour n+i."""
     chords = gn_chords(n)
     out = {}
-    for name, cid in cert.special_colors.items():
-        out[name] = sorted(
-            chords[v] for v, c in cert.assignment.items() if c == cid
-        )
-    return out
+    for v, c in cert.overrides.items():
+        out.setdefault(f"l{c - n}", []).append(chords[v])
+    return {name: sorted(members) for name, members in out.items()}
 
 
 def test_select_case_crossing_with_1():
@@ -139,10 +138,7 @@ def test_case1_certificate_n6():
     classes = classes_by_special(6, cert)
     assert classes["l1"] == [(1, 3), (1, 4), (2, 4)]
     chords = gn_chords(6)
-    min_colors = {
-        c for v, c in cert.assignment.items()
-        if c not in cert.special_colors.values()
-    }
+    min_colors = {c for c in cert.assignment.values() if c <= 6}
     assert min_colors <= {5, 6}
     assert all(c in chords[v] for v, c in cert.assignment.items()
                if c in min_colors)
@@ -169,10 +165,7 @@ def test_case2_certificate_n7():
     # stable members of {1a,1b,1c,1d,bc,bd} with (a,b,c,d) = (2,4,3,6)
     assert classes["l1"] == [(1, 3), (1, 4), (1, 6), (4, 6)]
     assert classes["l2"] == [(2, 4), (2, 6), (3, 6)]
-    min_colors = {
-        c for v, c in cert.assignment.items()
-        if c not in cert.special_colors.values()
-    }
+    min_colors = {c for c in cert.assignment.values() if c <= 7}
     assert min_colors == {5, 7}
 
 
@@ -185,7 +178,6 @@ def test_certificate_rejects_non_edge():
 def test_certificates_valid_on_every_edge(n):
     g = gn(n)
     chords = gn_chords(n)
-    ids = {p: i for i, p in enumerate(chords)}
     for e in g.edges():
         cert = critical_coloring(n, chords[e.u], chords[e.v])
         assert len(cert.assignment) == g.n
@@ -193,8 +185,6 @@ def test_certificates_valid_on_every_edge(n):
         assert cert.assignment[e.u] == cert.assignment[e.v]
         check = is_proper_coloring(delete_edge(g, e), cert.assignment)
         assert check.proper, (n, chords[e.u], chords[e.v], check.monochromatic)
-        assert ids[cert.edge_chords[0]] == e.u
-        assert ids[cert.edge_chords[1]] == e.v
 
 
 @pytest.mark.parametrize("n", range(6, 10))

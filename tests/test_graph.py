@@ -1,6 +1,7 @@
 import pytest
 
 from chordcrit.graph import (
+    STRUCTURED_HEADER,
     Edge,
     MissingEdgeError,
     GraphFormatError,
@@ -171,3 +172,33 @@ def test_parse_graph_rejects_self_loop():
     text = export_graph(cycle_graph(4), "structured")
     with pytest.raises(GraphFormatError):
         parse_graph(text.replace("adj 0 1 3", "adj 0 0 1 3"))
+
+
+def test_parse_graph_rejects_adj_without_id():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("adj 0 1 3", "adj"))
+
+
+def test_parse_graph_rejects_non_integer_field():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("vertices 4", "vertices x"))
+
+
+def test_parse_graph_rejects_negative_vertex_count():
+    text = f"{STRUCTURED_HEADER}\nvertices -1\nn_hint -\nend\n"
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
+
+
+def test_parse_graph_rejects_repeated_label():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("label 0 c0", "label 0 c0\nlabel 0 other"))
+
+
+def test_parse_graph_rejects_repeated_adj():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("adj 0 1 3", "adj 0 1 3\nadj 0 1 3"))

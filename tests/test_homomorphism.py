@@ -1,5 +1,7 @@
 import pytest
 
+from chordcrit import homomorphism
+from chordcrit.cli import EXIT_VERIFY_FAIL, main
 from chordcrit.families import (
     InvalidParametersError,
     PairClass,
@@ -9,62 +11,52 @@ from chordcrit.families import (
     is_stable_pair,
     mycielski,
 )
-from chordcrit.graph import build_graph
-from chordcrit.homomorphism import (
-    MycielskiVertex,
-    VertexMap,
-    build_h,
-    h_image,
-    lower_bound_chain,
-    mycielski_vertices,
-    verify_homomorphism,
-)
+from chordcrit.graph import Edge, build_graph
+from chordcrit.homomorphism import build_h, lower_bound_chain, verify_homomorphism
 from chordcrit.solver import chromatic_number
 
+from helpers import PINNED, sha256
 from oracles import is_cycle
 
 
 def test_h_image_defining_values():
-    assert h_image(MycielskiVertex("base", (2, 4)), 6) == (2, 4)
-    assert h_image(MycielskiVertex("clone", (1, 3)), 6) == (3, 6)
-    assert h_image(MycielskiVertex("clone", (2, 4)), 6) == (2, 6)
-    assert h_image(MycielskiVertex("star", None), 6) == (1, 5)
-
-
-def test_h_image_validates():
-    with pytest.raises(InvalidParametersError):
-        h_image(MycielskiVertex("base", (2, 4)), 4)
-    with pytest.raises(InvalidParametersError):
-        h_image(MycielskiVertex("base", None), 6)
-    with pytest.raises(InvalidParametersError):
-        h_image(MycielskiVertex("apex", None), 6)
-    with pytest.raises(InvalidParametersError):
-        h_image(MycielskiVertex("base", (1, 5)), 6)  # not a chord of [5]
+    # Vertices of the expansion of gn(5): base chords, then clones, then the apex.
+    chords5, chords6 = gn_chords(5), gn_chords(6)
+    h = build_h(6)
+    m = len(chords5)
+    assert chords6[h[chords5.index((2, 4))]] == (2, 4)
+    assert chords6[h[m + chords5.index((1, 3))]] == (3, 6)
+    assert chords6[h[m + chords5.index((2, 4))]] == (2, 6)
+    assert chords6[h[2 * m]] == (1, 5)
 
 
 @pytest.mark.parametrize("n", range(5, 16))
 def test_h_images_are_chords(n):
-    for v in mycielski_vertices(n):
-        a, b = h_image(v, n)
+    h = build_h(n)
+    assert len(h) == mycielski(gn(n - 1)).n
+    chords = gn_chords(n)
+    for i in h:
+        a, b = chords[i]
         assert is_stable_pair(a, b, n)
 
 
 @pytest.mark.parametrize("n", range(5, 16))
 def test_clone_images_contain_n_and_pair_with_star_as_crossing(n):
-    star_img = h_image(MycielskiVertex("star", None), n)
+    chords = gn_chords(n)
+    h = build_h(n)
+    m = len(gn_chords(n - 1))
+    star_img = chords[h[2 * m]]
     assert star_img == (1, n - 1)
-    for p in gn_chords(n - 1):
-        img = h_image(MycielskiVertex("clone", p), n)
+    for clone in range(m, 2 * m):
+        img = chords[h[clone]]
         assert n in img
         assert classify_pair(img, star_img, n) is PairClass.CROSSING
 
 
 def test_verify_homomorphism_identity_and_constant():
     g = gn(6)
-    identity = VertexMap("G_6", "G_6", tuple(range(g.n)))
-    assert verify_homomorphism(g, g, identity).valid
-    constant = VertexMap("G_6", "G_6", tuple(0 for _ in range(g.n)))
-    verdict = verify_homomorphism(g, g, constant)
+    assert verify_homomorphism(g, g, tuple(range(g.n))).valid
+    verdict = verify_homomorphism(g, g, (0,) * g.n)
     assert not verdict.valid
     assert len(verdict.violations) == g.edge_count
 
@@ -72,7 +64,7 @@ def test_verify_homomorphism_identity_and_constant():
 def test_verify_homomorphism_requires_total_map():
     g = gn(5)
     with pytest.raises(InvalidParametersError):
-        verify_homomorphism(g, g, VertexMap("G_5", "G_5", (0, 1)))
+        verify_homomorphism(g, g, (0, 1))
 
 
 def test_build_h_base_case_n5():
@@ -88,21 +80,21 @@ def test_build_h_n6_grotzsch_into_g6():
     verdict = verify_homomorphism(dom, gn(6), build_h(6))
     assert verdict.valid
     # spot check one image pair from the definition
-    vm = build_h(6)
+    h = build_h(6)
     chords5 = gn_chords(5)
     chords6 = gn_chords(6)
     base_13 = chords5.index((1, 3))
     clone_24 = len(chords5) + chords5.index((2, 4))
-    assert chords6[vm.mapping[base_13]] == (1, 3)
-    assert chords6[vm.mapping[clone_24]] == (2, 6)
+    assert chords6[h[base_13]] == (1, 3)
+    assert chords6[h[clone_24]] == (2, 6)
 
 
 def test_build_h_not_injective_at_n6():
-    vm = build_h(6)
+    h = build_h(6)
     chords5 = gn_chords(5)
     clone_24 = len(chords5) + chords5.index((2, 4))
     clone_25 = len(chords5) + chords5.index((2, 5))
-    assert vm.mapping[clone_24] == vm.mapping[clone_25]
+    assert h[clone_24] == h[clone_25]
 
 
 @pytest.mark.parametrize("n", range(5, 16))
@@ -121,17 +113,16 @@ def test_build_h_invalid():
 def test_base_restriction_composes_with_inclusion(n):
     # Restricted to base vertices, the map is the inclusion of gn(n-1)'s
     # chords into gn(n); composing with that inclusion stays edge-preserving.
-    vm = build_h(n)
     small = gn(n - 1)
     big = gn(n)
-    base_map = VertexMap(f"G_{n-1}", f"G_{n}", vm.mapping[: small.n])
-    assert verify_homomorphism(small, big, base_map).valid
+    assert verify_homomorphism(small, big, build_h(n)[: small.n]).valid
 
 
-def test_violation_rendering_names_labels():
+def test_violation_names_the_edge():
     g = build_graph(("a", "b"), [(0, 1)])
-    verdict = verify_homomorphism(g, g, VertexMap("A", "A", (0, 0)))
-    assert "(a,b) -> (a,a)" in verdict.render(g, g)
+    verdict = verify_homomorphism(g, g, (0, 0))
+    assert not verdict.valid
+    assert verdict.violations == (Edge(0, 1),)
 
 
 def test_lower_bound_chain_n6():
@@ -153,7 +144,42 @@ def test_lower_bound_chain_n9_matches_solver():
 
 def test_lower_bound_chain_distinguishes_machine_checked_levels():
     report = lower_bound_chain(7)
-    assert all(l.method == "machine-checked" for l in report.levels)
+    tagged = [l for l in report.render().splitlines() if "[machine-checked]" in l]
+    assert tagged == [
+        f"level {m}: map M(G_{m - 1}) -> G_{m} valid [machine-checked]"
+        for m in (5, 6, 7)
+    ]
     assert [l.n for l in report.levels] == [5, 6, 7]
     assert report.base_ok
     assert [k for k, _, _ in report.increment_checks] == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("n", range(5, 21))
+def test_lower_bound_chain_render_is_pinned(n):
+    assert sha256(lower_bound_chain(n).render()) == PINNED["lower_bound_chain"][str(n)]
+
+
+def test_failing_level_stops_the_chain(monkeypatch, capsys):
+    # A constant map sends every edge of M(G_4), a 5-cycle, to a non-edge.
+    monkeypatch.setattr(
+        homomorphism, "build_h", lambda n: (0,) * (2 * len(gn_chords(n - 1)) + 1)
+    )
+    report = lower_bound_chain(8)
+    lines = report.render().splitlines()
+    assert lines[0] == "level 5: map M(G_4) -> G_5 5 violations [machine-checked]"
+    assert not any(line.startswith("level 6") for line in lines)
+    assert not report.all_valid
+    assert main(["verify", "homomorphism", "--n", "8"]) == EXIT_VERIFY_FAIL
+    assert "5 violations" in capsys.readouterr().out
+
+
+def test_lower_bound_chain_builds_each_gn_once(monkeypatch):
+    calls = []
+
+    def counting_gn(n):
+        calls.append(n)
+        return gn(n)
+
+    monkeypatch.setattr(homomorphism, "gn", counting_gn)
+    assert lower_bound_chain(10).all_valid
+    assert sorted(calls) == list(range(4, 11))
