@@ -195,8 +195,13 @@ def parse_graph(text: str) -> Graph:
     n_hint: int | None = None
     labels: dict[int, str] = {}
     adj: dict[int, list[int]] = {}
+    headers: set[str] = set()
     for ln in body:
         key, _, rest = ln.partition(" ")
+        if key in ("vertices", "n_hint"):
+            if key in headers:
+                raise GraphFormatError(f"repeated {key} record")
+            headers.add(key)
         if key == "vertices":
             n = _field_int(rest, ln)
             if n < 0:

@@ -19,9 +19,12 @@ The search runs as one loop and reads the wall clock only when its backtrack
 count reaches a multiple of ``backtrack_check_interval``, never per node, so
 timeout handling stays cheap and the search itself deterministic: the
 interval changes no status, witness or backtrack count, only how far a
-budget may be overrun.  The loop runs interpreted on plain Python lists (one
-neighbour tuple and one neighbour-colour-count list per vertex), which index
-without the scalar boxing that numpy arrays cost in an interpreted loop.
+budget may be overrun.  The loop holds vertex sets as Python ints, one bit
+per position, with positions in the static tie order (degree descending,
+then rank), so one AND tests a whole set: a neighbourhood mask per vertex,
+built once per call, a mask per colour of the vertices it is forbidden to,
+and saturation as binary bit planes, whose top-down narrowing of the
+uncoloured set leaves the next pick as its lowest bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +83,8 @@ def greedy_bound(g: Graph) -> Coloring:
     the descent never backtracks.
     """
     k = 1 + max((g.degree(v) for v in range(g.n)), default=0)
-    return _search(g, k, list(range(g.n)), [], math.inf, 1).witness or {}
+    order = sorted(range(g.n), key=g.degree, reverse=True)
+    return _search(_masks(g, order), order, k, [], math.inf, 1).witness or {}
 
 
 def clique_bound(g: Graph) -> list[int]:
@@ -91,13 +96,15 @@ def clique_bound(g: Graph) -> list[int]:
     """
     if g.n == 0:
         return []
+    adjm = _masks(g, range(g.n))
     v = min(range(g.n), key=lambda u: (-g.degree(u), u))
     clique = [v]
-    cands = set(g.adj[v])
+    cands = adjm[v]
     while cands:
-        v = max(cands, key=lambda u: (len(g.adj[u] & cands), g.degree(u), -u))
+        v = max((u for u in range(g.n) if cands >> u & 1),
+                key=lambda u: ((adjm[u] & cands).bit_count(), g.degree(u), -u))
         clique.append(v)
-        cands &= g.adj[v]
+        cands &= adjm[v]
     return sorted(clique)
 
 
@@ -113,46 +120,67 @@ def is_k_colorable(
         raise ValueError("k must be >= 0")
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_budget
-    return _search(g, k, _rank(g.n, cfg.seed), clique_bound(g), deadline,
+    order = _order(g, cfg.seed)
+    return _search(_masks(g, order), order, k, clique_bound(g), deadline,
                    cfg.backtrack_check_interval)
 
 
-def _rank(n: int, seed: int) -> list[int]:
-    """The seed's tie-break rank of each vertex: a random permutation."""
-    rng = np.random.default_rng(seed)
-    return np.argsort(rng.permutation(n)).tolist()
+def _order(g: Graph, seed: int) -> list[int]:
+    """The vertices by degree, highest first, ties in the seed's random order."""
+    tie_order = np.random.default_rng(seed).permutation(g.n).tolist()
+    return sorted(tie_order, key=g.degree, reverse=True)
+
+
+def _masks(g: Graph, order: Sequence[int]) -> list[int]:
+    """Bit j of mask i is set iff vertices order[i] and order[j] are adjacent.
+
+    Masks are parsed from binary digits: no neighbour costs a big-int shift.
+    """
+    n = g.n
+    digit = [0] * n  # where each vertex's bit sits in the digit string
+    for p, v in enumerate(order):
+        digit[v] = n - 1 - p
+    zeros = b"0" * n
+    masks = []
+    for v in order:
+        digits = bytearray(zeros)
+        for w in g.adj[v]:
+            digits[digit[w]] = 49  # ord("1")
+        masks.append(int(digits, 2))
+    return masks
 
 
 def _search(
-    g: Graph, k: int, rank: list[int], clique: list[int], deadline: float,
-    interval: int,
+    adjm: list[int], order: list[int], k: int, clique: list[int],
+    deadline: float, interval: int,
 ) -> ColorDecision:
-    """``is_k_colorable`` for any g and k >= 0, given a clique of g.
+    """``is_k_colorable`` for any graph and k >= 0, given a clique of it.
 
-    Each depth colours the uncoloured vertex of maximum saturation, then
-    degree, then least ``rank``, except that depth d < len(clique) takes
-    ``clique[d]``, which first fit gives colour d; backtracking into that
-    prefix proves "no".  nbrs[v] is v's neighbour tuple and ncc[v][c] the
-    number of v's neighbours coloured c; no colour reaches n, so a row has
-    min(k, n) entries.  While ``advance`` is false the loop selects a vertex
-    for the current depth; while it is true it advances the colour of the
+    The graph is ``_masks(g, order)``: vertex order[p] sits at position p.
+    Each depth colours the uncoloured position of maximum saturation, the
+    least one on ties, except that depth d < len(clique) takes ``clique[d]``,
+    which first fit gives colour d; backtracking into that prefix proves
+    "no".  forb[c] masks the positions with a neighbour coloured c (no
+    colour reaches n, so there are min(k, n) of them) and stack_new[d] the
+    bits depth d's colour added to it; bit p of planes[i] is bit i of p's
+    saturation.  While ``advance`` is false the loop selects a vertex for
+    the current depth; while it is true it advances the colour of the
     vertex already on the stack.  ``deadline`` is a ``time.monotonic()``
     value, read once per ``interval`` backtracks.
     """
     if len(clique) > k:
         return ColorDecision("no")
 
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    degree = [len(nb) for nb in nbrs]
-    color = [-1] * n
-    ncc = [[0] * min(k, n) for _ in range(n)]
-    sat = [0] * n
-    stack_vertex = [0] * n
+    n = len(adjm)
+    fixed = len(clique)
+    forb = [0] * min(k, n)
+    planes = [0] * min(k, n).bit_length()
+    uncolored = (1 << n) - 1
+    stack_pos = [0] * n
     stack_color = [0] * n
+    stack_new = [0] * n
     stack_prev_max = [0] * n
 
-    fixed = len(clique)
     max_used = -1
     depth = 0
     next_check = interval
@@ -161,48 +189,41 @@ def _search(
     while True:
         if not advance:
             if depth == n:
-                witness = dict(enumerate(color))
+                vertices = [order[p] for p in stack_pos]
+                witness = dict(sorted(zip(vertices, stack_color)))
                 return ColorDecision("yes", witness=witness, backtracks=backtracks)
             if depth < fixed:
-                v = clique[depth]
+                p = order.index(clique[depth])
             else:
-                v = -1
-                best_sat = -1
-                best_deg = -1
-                best_rank = 0
-                for u in range(n):
-                    if color[u] < 0:
-                        su = sat[u]
-                        if su < best_sat:
-                            continue
-                        du = degree[u]
-                        if (su > best_sat or du > best_deg
-                                or (du == best_deg and rank[u] < best_rank)):
-                            v = u
-                            best_sat = su
-                            best_deg = du
-                            best_rank = rank[u]
-            stack_vertex[depth] = v
+                cand = uncolored
+                for plane in reversed(planes):
+                    if cand & plane:
+                        cand &= plane
+                p = (cand & -cand).bit_length() - 1
+            stack_pos[depth] = p
             stack_prev_max[depth] = max_used
             start_c = 0
         else:
             if depth < fixed:
                 return ColorDecision("no", backtracks=backtracks)
-            v = stack_vertex[depth]
+            p = stack_pos[depth]
             c_old = stack_color[depth]
-            color[v] = -1
-            for nb in nbrs[v]:
-                counts = ncc[nb]
-                counts[c_old] -= 1
-                if counts[c_old] == 0:
-                    sat[nb] -= 1
+            borrow = stack_new[depth]
+            forb[c_old] ^= borrow
+            i = 0
+            while borrow:  # saturation -= 1 on the bits c_old had added
+                plane = planes[i]
+                planes[i] = plane ^ borrow
+                borrow &= ~plane
+                i += 1
+            uncolored |= 1 << p
             max_used = stack_prev_max[depth]
             start_c = c_old + 1
+        bit = 1 << p
         limit = min(max_used + 1, k - 1)
-        counts = ncc[v]
         c = -1
         for cc in range(start_c, limit + 1):
-            if counts[cc] == 0:
+            if not forb[cc] & bit:
                 c = cc
                 break
         if c < 0:
@@ -214,13 +235,17 @@ def _search(
                     return ColorDecision("timeout", backtracks=backtracks)
                 next_check += interval
         else:
-            color[v] = c
+            uncolored ^= bit
             stack_color[depth] = c
-            for nb in nbrs[v]:
-                counts = ncc[nb]
-                if counts[c] == 0:
-                    sat[nb] += 1
-                counts[c] += 1
+            carry = adjm[p] & ~forb[c]
+            forb[c] |= carry
+            stack_new[depth] = carry
+            i = 0
+            while carry:  # saturation += 1 on the newly covered bits
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+                i += 1
             if c > max_used:
                 max_used = c
             depth += 1
@@ -237,7 +262,8 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     """
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_budget
-    rank = _rank(g.n, cfg.seed)
+    order = _order(g, cfg.seed)
+    adjm = _masks(g, order)
     clique = clique_bound(g)
     lower = len(clique)
     witness = greedy_bound(g)
@@ -247,7 +273,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
         if time.monotonic() >= deadline:
             decision = ColorDecision("timeout")
         else:
-            decision = _search(g, k, rank, clique, deadline,
+            decision = _search(adjm, order, k, clique, deadline,
                                cfg.backtrack_check_interval)
         if decision.status == "timeout":
             return ChromaticResult(

@@ -202,3 +202,16 @@ def test_parse_graph_rejects_repeated_adj():
     text = export_graph(cycle_graph(4), "structured")
     with pytest.raises(GraphFormatError):
         parse_graph(text.replace("adj 0 1 3", "adj 0 1 3\nadj 0 1 3"))
+
+
+def test_parse_graph_rejects_repeated_vertices():
+    # The later count must not replace the first: G_4 has 2 vertices.
+    text = export_graph(gn(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("vertices 2", "vertices 5\nvertices 2"))
+
+
+def test_parse_graph_rejects_repeated_n_hint():
+    text = export_graph(gn(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("n_hint 4", "n_hint 4\nn_hint 9"))

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 import tracemalloc
 
@@ -87,6 +88,37 @@ def test_chromatic_number_is_pinned():
             got = sha256(repr((r.chi, r.status, r.lower_bound, r.upper_bound,
                                r.lower_bound_witness, sorted(r.witness.items()))))
             assert got == digest, (family, key)
+
+
+def test_edge_deleted_search_is_pinned():
+    # Every G_n - e is (n-3)-colourable, and many of these "yes" searches
+    # backtrack, so the pins cover the search's path, not only its verdicts.
+    for key, pins in PINNED["edge_deleted_search"].items():
+        n, seed = map(int, key.split("/"))
+        g = gn(n)
+        assert set(pins) == {f"{u},{v}" for u, v in g.edges()}, key
+        for e, expected in pins.items():
+            u, v = map(int, e.split(","))
+            out = is_k_colorable(delete_edge(g, (u, v)), n - 3,
+                                 SolverConfig(seed=seed))
+            got = f"{out.status} {out.backtracks} {_witness_digest(out.witness)}"
+            assert got == expected, (key, e)
+
+
+def test_masks_are_adjacency_under_any_numbering():
+    rng = random.Random(2011)
+    graphs = ([gn(n) for n in range(4, 31)]
+              + [schrijver(n, 2) for n in range(4, 11)]
+              + [mycielski_iter(k) for k in range(2, 7)]
+              + [edgeless_graph(0), edgeless_graph(5)])
+    for g in graphs:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        pos = {v: i for i, v in enumerate(order)}
+        masks = solver._masks(g, order)
+        assert len(masks) == g.n
+        for i, v in enumerate(order):
+            assert masks[i] == sum(1 << pos[w] for w in g.adj[v]), (g.n, v)
 
 
 def test_is_k_colorable_odd_cycle():
