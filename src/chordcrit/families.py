@@ -228,26 +228,24 @@ def _trailing_primes(lbl: str) -> int:
 
 
 def mycielski(g: Graph) -> Graph:
-    """Clone-plus-apex expansion of g.
+    """Clone-plus-apex expansion of g, built from g's adjacency sets.
 
     Layout contract relied on by the homomorphism module: vertex i of g keeps
-    id i, its clone is id n+i, and the apex is id 2n.  Clone labels append
-    primes (one for unprimed inputs, enough to stay unique under iteration);
-    the apex label is the shortest run of '*' not already taken.
+    id i, its clone is id n+i, and the apex is id 2n.  Base vertex u is
+    joined to g's neighbours of u and to their clones, clone u to g's
+    neighbours of u and to the apex.  Clone labels append primes (one for
+    unprimed inputs, enough to stay unique under iteration); the apex label
+    is the shortest run of '*' not already taken.
     """
     v = g.n
+    apex = 2 * v
     bump = "'" * (1 + max((_trailing_primes(l) for l in g.labels), default=0))
     labels = list(g.labels)
     labels += [lbl + bump for lbl in g.labels]
     labels.append(_star_label(set(labels)))
-    edges: list[tuple[int, int]] = []
-    for u, w in g.edges():
-        edges.append((u, w))
-        edges.append((u, v + w))
-        edges.append((w, v + u))
-    star = 2 * v
-    edges += [(v + u, star) for u in range(v)]
-    return build_graph(labels, edges, n_hint=None)
+    base = [a | {v + w for w in a} for a in g.adj]
+    clones = [a | {apex} for a in g.adj]
+    return Graph(tuple(labels), (*base, *clones, frozenset(range(v, apex))))
 
 
 def complete_pair() -> Graph:

@@ -225,6 +225,8 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"unknown record line {ln!r}")
     if n is None or sorted(labels) != list(range(n)) or sorted(adj) != list(range(n)):
         raise GraphFormatError("incomplete structured record")
+    if len(set(labels.values())) != n:
+        raise GraphFormatError("vertex labels must be unique")
     edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if u < v]
     for u, nbrs in adj.items():
         for v in nbrs:

@@ -36,13 +36,22 @@ class HomVerdict:
 
 
 def verify_homomorphism(G: Graph, H: Graph, mapping: tuple[int, ...]) -> HomVerdict:
-    """Valid iff every edge of G maps to an edge of H (images adjacent)."""
+    """Valid iff every edge of G maps to an edge of H (images adjacent).
+
+    ``mapping[u]`` is the H vertex id of G's vertex u.  Each edge u < w of
+    G is read once from ``G.adj[u]`` and tested against H's adjacency set
+    of u's image; the violations come in ``G.edges()`` order.
+    """
     if len(mapping) != G.n:
         raise InvalidParametersError("map must be total on the domain")
-    violations = tuple(
-        e for e in G.edges() if not H.has_edge(mapping[e.u], mapping[e.v])
-    )
-    return HomVerdict(not violations, violations)
+    if mapping and not (0 <= min(mapping) and max(mapping) < H.n):
+        raise InvalidParametersError(f"map images must be vertex ids 0..{H.n - 1}")
+    violations: list[Edge] = []
+    for u, nbrs in enumerate(G.adj):
+        image_nbrs = H.adj[mapping[u]]
+        bad = [w for w in nbrs if w > u and mapping[w] not in image_nbrs]
+        violations += [Edge(u, w) for w in sorted(bad)]
+    return HomVerdict(not violations, tuple(violations))
 
 
 def build_h(n: int) -> tuple[int, ...]:

@@ -159,20 +159,22 @@ def _search(
     The graph is ``_masks(g, order)``: vertex order[p] sits at position p.
     Each depth colours the uncoloured position of maximum saturation, the
     least one on ties, except that depth d < len(clique) takes ``clique[d]``,
-    which first fit gives colour d; backtracking into that prefix proves
-    "no".  forb[c] masks the positions with a neighbour coloured c (no
-    colour reaches n, so there are min(k, n) of them) and stack_new[d] the
-    bits depth d's colour added to it; bit p of planes[i] is bit i of p's
-    saturation.  While ``advance`` is false the loop selects a vertex for
-    the current depth; while it is true it advances the colour of the
-    vertex already on the stack.  ``deadline`` is a ``time.monotonic()``
-    value, read once per ``interval`` backtracks.
+    which first fit gives colour d.  forb[c] masks the positions with a
+    neighbour coloured c (no colour reaches n, so there are min(k, n) of
+    them) and stack_new[d] the bits depth d's colour added to it; bit p of
+    planes[i] is bit i of p's saturation.  Each step picks a position and
+    gives it its first free colour.  When there is none, the inner loop
+    backtracks: it steps up a depth, proving "no" once it leaves the clique
+    prefix, takes that depth's colour off and tries the next free one.
+    ``deadline`` is a ``time.monotonic()`` value, read once per ``interval``
+    backtracks.
     """
     if len(clique) > k:
         return ColorDecision("no")
 
     n = len(adjm)
     fixed = len(clique)
+    prefix = [order.index(v) for v in clique]
     forb = [0] * min(k, n)
     planes = [0] * min(k, n).bit_length()
     uncolored = (1 << n) - 1
@@ -181,75 +183,70 @@ def _search(
     stack_new = [0] * n
     stack_prev_max = [0] * n
 
+    top = k - 1
     max_used = -1
     depth = 0
     next_check = interval
     backtracks = 0
-    advance = False
-    while True:
-        if not advance:
-            if depth == n:
-                vertices = [order[p] for p in stack_pos]
-                witness = dict(sorted(zip(vertices, stack_color)))
-                return ColorDecision("yes", witness=witness, backtracks=backtracks)
-            if depth < fixed:
-                p = order.index(clique[depth])
-            else:
-                cand = uncolored
-                for plane in reversed(planes):
-                    if cand & plane:
-                        cand &= plane
-                p = (cand & -cand).bit_length() - 1
-            stack_pos[depth] = p
-            stack_prev_max[depth] = max_used
-            start_c = 0
+    while depth < n:
+        if depth < fixed:
+            p = prefix[depth]
         else:
-            if depth < fixed:
-                return ColorDecision("no", backtracks=backtracks)
-            p = stack_pos[depth]
-            c_old = stack_color[depth]
-            borrow = stack_new[depth]
-            forb[c_old] ^= borrow
-            i = 0
-            while borrow:  # saturation -= 1 on the bits c_old had added
-                plane = planes[i]
-                planes[i] = plane ^ borrow
-                borrow &= ~plane
-                i += 1
-            uncolored |= 1 << p
-            max_used = stack_prev_max[depth]
-            start_c = c_old + 1
+            cand = uncolored
+            for plane in reversed(planes):
+                if cand & plane:
+                    cand &= plane
+            p = (cand & -cand).bit_length() - 1
         bit = 1 << p
-        limit = min(max_used + 1, k - 1)
-        c = -1
-        for cc in range(start_c, limit + 1):
-            if not forb[cc] & bit:
-                c = cc
-                break
-        if c < 0:
-            depth -= 1
-            advance = True
+        limit = max_used + 1 if max_used < top else top
+        c = 0
+        while c <= limit and forb[c] & bit:
+            c += 1
+        while c > limit:  # no free colour: backtrack until one is found
             backtracks += 1
             if backtracks == next_check:
                 if time.monotonic() >= deadline:
                     return ColorDecision("timeout", backtracks=backtracks)
                 next_check += interval
-        else:
-            uncolored ^= bit
-            stack_color[depth] = c
-            carry = adjm[p] & ~forb[c]
-            forb[c] |= carry
-            stack_new[depth] = carry
+            depth -= 1
+            if depth < fixed:
+                return ColorDecision("no", backtracks=backtracks)
+            p = stack_pos[depth]
+            c = stack_color[depth]
+            borrow = stack_new[depth]
+            forb[c] ^= borrow
             i = 0
-            while carry:  # saturation += 1 on the newly covered bits
+            while borrow:  # saturation -= 1 on the bits c had added
                 plane = planes[i]
-                planes[i] = plane ^ carry
-                carry &= plane
+                planes[i] = plane ^ borrow
+                borrow &= ~plane
                 i += 1
-            if c > max_used:
-                max_used = c
-            depth += 1
-            advance = False
+            bit = 1 << p
+            uncolored |= bit
+            max_used = stack_prev_max[depth]
+            limit = max_used + 1 if max_used < top else top
+            c += 1
+            while c <= limit and forb[c] & bit:
+                c += 1
+        uncolored ^= bit
+        stack_pos[depth] = p
+        stack_color[depth] = c
+        stack_prev_max[depth] = max_used
+        carry = adjm[p] & ~forb[c]
+        forb[c] |= carry
+        stack_new[depth] = carry
+        i = 0
+        while carry:  # saturation += 1 on the newly covered bits
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+        if c > max_used:
+            max_used = c
+        depth += 1
+    vertices = [order[p] for p in stack_pos]
+    witness = dict(sorted(zip(vertices, stack_color)))
+    return ColorDecision("yes", witness=witness, backtracks=backtracks)
 
 
 def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResult:

@@ -11,7 +11,7 @@ import numpy as np
 from chordcrit import criticality
 from chordcrit.criticality import EdgeCertRow, NotAnEdgeError
 from chordcrit.families import chord_label
-from chordcrit.graph import Graph
+from chordcrit.graph import Edge, Graph, build_graph
 from helpers import gn_edge_arrays
 
 
@@ -167,6 +167,32 @@ def full_scan_rows(n: int) -> list[EdgeCertRow]:
             verdict="pass" if ok else "fail",
         ))
     return rows
+
+
+def edge_list_mycielski(g: Graph) -> Graph:
+    """The clone-plus-apex expansion of g, built from an edge list.
+
+    Vertex i keeps id i, its clone is i+n and the apex 2n.  Every edge u-w
+    of g gives u-w, u-clone(w) and w-clone(u); every clone is joined to the
+    apex.  Clone labels append one prime more than any label of g ends in;
+    the apex label is the shortest run of '*' not already taken.
+    """
+    v = g.n
+    primes = max((len(lbl) - len(lbl.rstrip("'")) for lbl in g.labels), default=0)
+    labels = list(g.labels) + [lbl + "'" * (primes + 1) for lbl in g.labels]
+    apex = "*"
+    while apex in labels:
+        apex += "*"
+    edges = []
+    for e in g.edges():
+        edges += [(e.u, e.v), (e.u, v + e.v), (e.v, v + e.u)]
+    edges += [(v + u, 2 * v) for u in range(v)]
+    return build_graph(labels + [apex], edges)
+
+
+def brute_hom_violations(G: Graph, H: Graph, mapping) -> tuple[Edge, ...]:
+    """Edges of G whose images are not adjacent in H, in ``G.edges()`` order."""
+    return tuple(e for e in G.edges() if not H.has_edge(mapping[e.u], mapping[e.v]))
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:

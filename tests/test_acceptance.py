@@ -67,12 +67,12 @@ def test_criterion_3_solver_cross_check():
 
 def test_criterion_4_homomorphism_chain():
     failures = []
-    for n in range(5, 16):
+    for n in range(5, 31):
         verdict = verify_homomorphism(mycielski(gn(n - 1)), gn(n), build_h(n))
         if not verdict.valid:
             failures.append((n, len(verdict.violations)))
     _verdict(4, not failures,
-             f"h: M(G_n-1) -> G_n has zero violating edges for n = 5..15 (failures: {failures})")
+             f"h: M(G_n-1) -> G_n has zero violating edges for n = 5..30 (failures: {failures})")
 
 
 def test_criterion_5_fixtures():

@@ -29,9 +29,20 @@ from oracles import (
     brute_sg2_edges,
     brute_stable_ksubsets,
     is_cycle,
+    edge_list_mycielski,
     is_single_edge,
     is_triangle_free,
 )
+
+
+def _mycielski_inputs():
+    """The graphs whose expansions the ``mycielski`` digests pin, by key."""
+    for n in range(4, 16):
+        yield f"gn/{n}", gn(n)
+    for k in range(2, 7):
+        yield f"mycielski_iter/{k}", mycielski_iter(k)
+    yield "empty", build_graph((), [])
+    yield "edgeless", build_graph(("a", "b", "c"), [])
 
 
 def test_stable_subsets_examples():
@@ -224,6 +235,17 @@ def test_mycielski_structure():
         assert m.has_edge(e.v, v + e.u)
     assert set(m.adj[star]) == {v + u for u in range(v)}
     assert len(set(m.labels)) == m.n
+
+
+def test_mycielski_is_pinned():
+    got = {key: sha256(export_graph(mycielski(g), "structured"))
+           for key, g in _mycielski_inputs()}
+    assert got == PINNED["mycielski"]
+
+
+def test_mycielski_matches_edge_list_oracle():
+    for key, g in _mycielski_inputs():
+        assert mycielski(g) == edge_list_mycielski(g), key
 
 
 def test_mycielski_size_recurrences():

@@ -211,6 +211,12 @@ def test_parse_graph_rejects_repeated_vertices():
         parse_graph(text.replace("vertices 2", "vertices 5\nvertices 2"))
 
 
+def test_parse_graph_rejects_equal_labels():
+    text = export_graph(cycle_graph(4), "structured")
+    with pytest.raises(GraphFormatError):
+        parse_graph(text.replace("label 1 c1", "label 1 c0"))
+
+
 def test_parse_graph_rejects_repeated_n_hint():
     text = export_graph(gn(4), "structured")
     with pytest.raises(GraphFormatError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chordcrit import homomorphism
@@ -16,7 +18,7 @@ from chordcrit.homomorphism import build_h, lower_bound_chain, verify_homomorphi
 from chordcrit.solver import chromatic_number
 
 from helpers import PINNED, sha256
-from oracles import is_cycle
+from oracles import brute_hom_violations, is_cycle
 
 
 def test_h_image_defining_values():
@@ -65,6 +67,41 @@ def test_verify_homomorphism_requires_total_map():
     g = gn(5)
     with pytest.raises(InvalidParametersError):
         verify_homomorphism(g, g, (0, 1))
+
+
+def test_verify_homomorphism_rejects_negative_image():
+    # -9 would wrap round to gn(6)'s vertex build_h(6)[0], since gn(6) has 9.
+    h = list(build_h(6))
+    h[0] -= 9
+    with pytest.raises(InvalidParametersError):
+        verify_homomorphism(mycielski(gn(5)), gn(6), tuple(h))
+
+
+def test_verify_homomorphism_rejects_image_past_codomain():
+    cod = gn(6)
+    h = list(build_h(6))
+    h[-1] = cod.n
+    with pytest.raises(InvalidParametersError):
+        verify_homomorphism(mycielski(gn(5)), cod, tuple(h))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_violations_match_edge_filter_on_random_maps(n):
+    dom, cod = mycielski(gn(n - 1)), gn(n)
+    rng = random.Random(n)
+    h = build_h(n)
+    for trial in range(6):
+        if trial % 2:
+            mapping = tuple(rng.randrange(cod.n) for _ in range(dom.n))
+        else:  # the chain's map with a few images moved
+            mapping = list(h)
+            for u in rng.sample(range(dom.n), 3):
+                mapping[u] = rng.randrange(cod.n)
+            mapping = tuple(mapping)
+        verdict = verify_homomorphism(dom, cod, mapping)
+        expected = brute_hom_violations(dom, cod, mapping)
+        assert verdict.violations == expected
+        assert verdict.valid == (not expected)
 
 
 def test_build_h_base_case_n5():
