@@ -17,13 +17,16 @@ mechanically (total, <= n-3 colours, proper after deleting the edge,
 deleted endpoints monochromatic), and can cross-check with the exact solver.
 The check reads only A and the overrides, never the whole colouring.  It is
 total when every stable chord inside A is overridden.  Edges of gn(n) join
-only disjoint chords (checked once per sweep), so a class whose chords all
-contain its colour is independent; every min-based class is one.  Only the
+only disjoint chords, checked edge by edge: ``select_case`` accepts only
+crossing and transverse pairs.  So a class whose chords all contain its
+colour is independent; every min-based class is one.  Only the
 overridden chords that lack their colour are checked against their
 neighbours, skipping the deleted edge: for a fresh colour (> n), which no
 chord contains and so only overridden chords carry, against the other
 chords of that colour; for any other colour, against all neighbours.
 Colours are counted from A and the overrides too (``colors_used``).
+
+``verify_vertex_criticality`` makes one solver decision per deleted vertex.
 """
 
 from __future__ import annotations
@@ -289,11 +292,10 @@ class EdgeCriticalityReport:
 def _certify_one(
     n: int, g: Graph, chords: tuple[Chord, ...], e: Edge
 ) -> EdgeCertRow:
-    label = f"{g.labels[e.u]},{g.labels[e.v]}"  # ids are lexicographic
     try:
         cert = critical_coloring(n, chords[e.u], chords[e.v])
     except NotAnEdgeError as exc:
-        return EdgeCertRow(label, "error", 0, False, False, False, f"fail:{exc}")
+        raise AssertionError(f"gn({n}): {exc}") from exc
     A = set(cert.A)
     overrides = cert.overrides
 
@@ -338,7 +340,7 @@ def _certify_one(
     colors_used = _colors_used(cert, chords)
     ok = total and proper and endpoints_mono and colors_used <= n - 3
     return EdgeCertRow(
-        edge=label,
+        edge=f"{g.labels[e.u]},{g.labels[e.v]}",  # ids are lexicographic
         case=cert.case.value,
         colors_used=colors_used,
         proper=proper,
@@ -355,14 +357,13 @@ def verify_edge_criticality(
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    Rows follow the edge order of the graph.  Raises AssertionError if an
-    edge of gn(n) joins two intersecting chords, the premise of the class
-    by class properness check.
+    Rows follow the edge order of the graph, which is walked once.  Raises
+    AssertionError, and returns no report, if an edge of gn(n) is not a
+    crossing or transverse pair: such pairs are disjoint, the premise of
+    the class by class properness check.
     """
     g = gn(n)
     chords = gn_chords(n)
-    if any(not set(chords[u]).isdisjoint(chords[v]) for u, v in g.edges()):
-        raise AssertionError(f"gn({n}) has an edge between intersecting chords")
     rows = tuple(_certify_one(n, g, chords, e) for e in g.edges())
     solver_status: str | None = None
     if use_solver:
@@ -405,24 +406,21 @@ class VertexCriticalityReport:
 def verify_vertex_criticality(
     g: Graph, cfg: SolverConfig | None = None
 ) -> VertexCriticalityReport:
-    """Check that deleting any single vertex lowers the chromatic number."""
+    """Check that deleting any single vertex lowers the chromatic number.
+
+    chi(G) - 1 <= chi(G - v) <= chi(G): a colouring of G - v plus a fresh
+    colour for v colours G.  So one decision at k = chi(G) - 1 settles
+    each row: "yes" drops chi, "no" keeps it, a timeout reports it kept.
+    """
     cfg = cfg or SolverConfig()
     base = chromatic_number(g, cfg)
     if base.status != "exact":
         return VertexCriticalityReport(base.chi, (), True)
+    chi = base.chi
     rows = []
-    timed_out = False
     for v in range(g.n):
-        sub = chromatic_number(delete_vertex(g, v), cfg)
-        timeout = sub.status != "exact"
-        timed_out = timed_out or timeout
-        rows.append(
-            VertexCritRow(
-                label=g.labels[v],
-                chi_before=base.chi,
-                chi_after=sub.chi,
-                dropped=(not timeout) and sub.chi < base.chi,
-                timeout=timeout,
-            )
-        )
-    return VertexCriticalityReport(base.chi, tuple(rows), timed_out)
+        status = is_k_colorable(delete_vertex(g, v), chi - 1, cfg).status
+        dropped = status == "yes"
+        after = chi - 1 if dropped else chi
+        rows.append(VertexCritRow(g.labels[v], chi, after, dropped, status == "timeout"))
+    return VertexCriticalityReport(chi, tuple(rows), any(r.timeout for r in rows))

@@ -107,7 +107,11 @@ class LowerBoundReport:
         lines.append(
             "clone-step increment for the remaining levels: cited, not machine-checked"
         )
-        lines.append(f"certified lower bound: chi(G_{self.n}) >= {self.bound}")
+        lines.append(
+            f"certified lower bound: chi(G_{self.n}) >= {self.bound}"
+            if self.all_valid
+            else "no certified lower bound: a check above failed"
+        )
         return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import numpy as np
 
 from chordcrit import criticality
-from chordcrit.criticality import EdgeCertRow, NotAnEdgeError
+from chordcrit.criticality import EdgeCertRow
 from chordcrit.families import chord_label
 from chordcrit.graph import Edge, Graph, build_graph
 from helpers import gn_edge_arrays
@@ -138,11 +138,7 @@ def full_scan_rows(n: int) -> list[EdgeCertRow]:
     for e_u, e_v in zip(eu.tolist(), ev.tolist()):
         p, q = chords[e_u], chords[e_v]
         label = ",".join(chord_label(t) for t in sorted((p, q)))
-        try:
-            cert = criticality.critical_coloring(n, p, q)
-        except NotAnEdgeError as exc:
-            rows.append(EdgeCertRow(label, "error", 0, False, False, False, f"fail:{exc}"))
-            continue
+        cert = criticality.critical_coloring(n, p, q)
         total = len(cert.assignment) == n_chords
         if total:
             colors = np.empty(n_chords, dtype=np.int64)

@@ -31,23 +31,23 @@ def _verdict(num: int, ok: bool, text: str) -> None:
 def test_criterion_1_chromatic_numbers():
     cfg = SolverConfig(time_budget=240)
     failures = []
-    for n in range(4, 10):
+    for n in range(4, 12):
         res = chromatic_number(gn(n), cfg)
         if res.status != "exact" or res.chi != n - 2:
             failures.append((n, res.chi, res.status))
     _verdict(1, not failures,
-             f"chi(G_n) = n-2 exactly for n = 4..9 (failures: {failures})")
+             f"chi(G_n) = n-2 exactly for n = 4..11 (failures: {failures})")
 
 
 def test_criterion_2_edge_criticality_certificates():
     failures = []
-    for n in range(4, 17):
+    for n in range(4, 25):
         report = verify_edge_criticality(n)
         bad = [r for r in report.rows if r.verdict != "pass"]
         if bad:
             failures.append((n, len(bad)))
     _verdict(2, not failures,
-             "every edge of G_n (n = 4..16) has a valid certificate: total, "
+             "every edge of G_n (n = 4..24) has a valid certificate: total, "
              f"<= n-3 colours, proper after deletion, endpoints equal (failures: {failures})")
 
 
@@ -137,16 +137,20 @@ def test_criterion_7_mycielski():
 def test_criterion_8_vertex_criticality():
     cfg = SolverConfig(time_budget=120)
     failures = []
-    for n in (6, 7):
-        report = verify_vertex_criticality(schrijver(n, 2), cfg)
+    # Edge-critical implies vertex-critical, so the G_n are checked too.
+    graphs = [(f"SG({n},2)", schrijver(n, 2)) for n in (6, 7, 8)]
+    graphs += [(f"G_{n}", gn(n)) for n in range(5, 10)]
+    for name, g in graphs:
+        report = verify_vertex_criticality(g, cfg)
         if report.timed_out:
-            failures.append((n, "timeout"))
+            failures.append((name, "timeout"))
             continue
         for row in report.rows:
             if row.chi_before - row.chi_after != 1:
-                failures.append((n, row.label))
+                failures.append((name, row.label))
     _verdict(8, not failures,
-             f"every vertex deletion in SG(6,2) and SG(7,2) drops chi by exactly 1 (failures: {failures})")
+             "every vertex deletion in SG(6..8,2) and G_5..G_9 drops chi by exactly 1 "
+             f"(failures: {failures})")
 
 
 def test_criterion_9_property_suites():

@@ -20,12 +20,21 @@ from chordcrit.families import (
     gn,
     gn_chords,
     is_stable_pair,
+    kneser,
+    mycielski_iter,
+    schrijver,
 )
-from chordcrit.graph import build_graph, count_colors, delete_edge, is_proper_coloring
-from chordcrit.solver import SolverConfig, chromatic_number
+from chordcrit.graph import (
+    build_graph,
+    count_colors,
+    delete_edge,
+    delete_vertex,
+    is_proper_coloring,
+)
+from chordcrit.solver import ColorDecision, SolverConfig, chromatic_number
 
-from helpers import PINNED, cycle_graph, sha256
-from oracles import brute_chords, brute_pair_class, full_scan_rows
+from helpers import PINNED, cycle_graph, edgeless_graph, sha256, small_corpus
+from oracles import brute_chords, brute_chromatic, brute_pair_class, full_scan_rows
 
 
 def chord_of(n, label):
@@ -384,3 +393,88 @@ def test_vertex_criticality_c5():
     assert report.chi == 3
     assert report.all_dropped
     assert all(r.chi_after == 2 for r in report.rows)
+
+
+@pytest.mark.parametrize("pair", [((1, 3), (4, 6)), ((1, 5), (2, 4))])
+def test_sweep_rejects_edge_between_disjoint_non_edge_chords(monkeypatch, pair):
+    """A lateral or nested-through-1 pair joins disjoint chords but is no
+    edge of gn(n): the sweep must stop rather than report a row for it."""
+    n = 7
+    ids = families.chord_index(n)
+    g = gn(n)
+    p, q = pair
+    bad = build_graph(g.labels, [*g.edges(), (ids[p], ids[q])], n_hint=n)
+    monkeypatch.setattr(criticality, "gn", lambda n: bad)
+    cls = classify_pair(p, q, n).value
+    with pytest.raises(AssertionError, match=f"form a {cls} pair, not an edge"):
+        verify_edge_criticality(n)
+
+
+def _c5_with_pendant():
+    labels = [*cycle_graph(5).labels, "p"]
+    return build_graph(labels, [*cycle_graph(5).edges(), (0, 5)])
+
+
+VERTEX_CORPUS = {
+    **{f"sg/{n}": (lambda n=n: schrijver(n, 2)) for n in range(5, 9)},
+    **{f"gn/{n}": (lambda n=n: gn(n)) for n in range(5, 10)},
+    **{f"mycielski_iter/{k}": (lambda k=k: mycielski_iter(k)) for k in range(2, 6)},
+    "kneser/5/2": lambda: kneser(5, 2),
+    "c5_pendant": _c5_with_pendant,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(VERTEX_CORPUS))
+def test_vertex_criticality_report_is_pinned(name, seed):
+    report = verify_vertex_criticality(VERTEX_CORPUS[name](), SolverConfig(seed=seed))
+    assert sha256(report.render()) == PINNED["vertex_criticality"][f"{name}/{seed}"]
+
+
+def test_vertex_sweep_makes_one_decision_per_vertex(monkeypatch):
+    chi_calls, decisions = [], []
+    original_chi = criticality.chromatic_number
+    original_decide = criticality.is_k_colorable
+
+    def counting_chi(g, cfg=None):
+        chi_calls.append(g.n)
+        return original_chi(g, cfg)
+
+    def counting_decide(g, k, cfg=None):
+        decisions.append((g.n, k))
+        return original_decide(g, k, cfg)
+
+    monkeypatch.setattr(criticality, "chromatic_number", counting_chi)
+    monkeypatch.setattr(criticality, "is_k_colorable", counting_decide)
+    g = schrijver(7, 2)
+    report = verify_vertex_criticality(g, SolverConfig(seed=1))
+    assert report.all_dropped
+    assert chi_calls == [g.n]
+    assert decisions == [(g.n - 1, report.chi - 1)] * g.n
+
+
+def test_vertex_sweep_timeout_keeps_chi(monkeypatch):
+    monkeypatch.setattr(
+        criticality, "is_k_colorable", lambda g, k, cfg=None: ColorDecision("timeout")
+    )
+    g = gn(7)
+    report = verify_vertex_criticality(g)
+    assert report.timed_out
+    assert not report.all_dropped
+    lines = report.render().splitlines()
+    assert lines[:-1] == [f"{label} 5 5 timeout" for label in g.labels]
+    assert lines[-1] == f"vertex deletions dropping chi: 0/{g.n}"
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [*small_corpus(), ("edgeless_1", edgeless_graph(1)), ("C_5_pendant", _c5_with_pendant())],
+)
+def test_vertex_rows_match_exhaustive_oracle(name, g):
+    """One decision at chi - 1 per row gives the chromatic number of G - v."""
+    report = verify_vertex_criticality(g)
+    assert report.chi == brute_chromatic(g)
+    assert not report.timed_out
+    assert [r.chi_after for r in report.rows] == [
+        brute_chromatic(delete_vertex(g, v)) for v in range(g.n)
+    ]

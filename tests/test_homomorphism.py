@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -220,3 +221,26 @@ def test_lower_bound_chain_builds_each_gn_once(monkeypatch):
     monkeypatch.setattr(homomorphism, "gn", counting_gn)
     assert lower_bound_chain(10).all_valid
     assert sorted(calls) == list(range(4, 11))
+
+
+@pytest.mark.parametrize("failure", ["level", "base"])
+def test_failed_chain_claims_no_bound(monkeypatch, failure):
+    if failure == "level":
+        monkeypatch.setattr(
+            homomorphism, "build_h", lambda n: (0,) * (2 * len(gn_chords(n - 1)) + 1)
+        )
+    else:
+        g5 = gn(5)
+
+        def miscounting(g, cfg=None):
+            res = chromatic_number(g, cfg)
+            return dataclasses.replace(res, chi=res.chi + 1) if g == g5 else res
+
+        monkeypatch.setattr(homomorphism, "chromatic_number", miscounting)
+    report = lower_bound_chain(8)
+    lines = report.render().splitlines()
+    assert not report.all_valid
+    assert lines[-1] == "no certified lower bound: a check above failed"
+    assert not any(line.startswith("certified") for line in lines)
+    if failure == "base":
+        assert "base case: chi(G_5) = 4 [MISMATCH, solver]" in lines
