@@ -12,7 +12,11 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .criticality import verify_edge_criticality, verify_vertex_criticality
+from .criticality import (
+    critical_coloring,
+    verify_edge_criticality,
+    verify_vertex_criticality,
+)
 from .diagrams import certificate_classes, chord_diagram
 from .families import (
     InvalidParametersError,
@@ -26,7 +30,6 @@ from .graph import export_graph
 from .homomorphism import lower_bound_chain
 from .pairs import count_pairs
 from .solver import SolverConfig, chromatic_number
-from . import criticality
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -116,7 +119,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
                 "certificate edge needs exactly two chords, e.g. '26,35'"
             )
         p, q = (parse_chord(t, n) for t in parts)
-        cert = criticality.critical_coloring(n, p, q)
+        cert = critical_coloring(n, p, q)
         classes = certificate_classes(n, cert.assignment)
         svg = chord_diagram(n, sorted(classes), color_classes=classes)
     else:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
+from typing import Iterator
 
 from .graph import Graph, build_graph
 
@@ -174,7 +175,7 @@ def gn_chords(n: int) -> tuple[Chord, ...]:
     """
     if n < 4:
         raise InvalidParametersError(f"need n >= 4, got n={n}")
-    return tuple((a, b) for a, b in stable_subsets(n, 2))
+    return tuple(stable_subsets(n, 2))
 
 
 @lru_cache(maxsize=_CHORD_CACHE_SIZE)
@@ -186,29 +187,35 @@ def chord_index(n: int) -> MappingProxyType[Chord, int]:
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
-    Each chord (a, b) is joined to its lexicographically later partners
-    (c, d), c > a, which lie in the intervals that ``count_pairs`` counts:
-    crossing, a < c < b < d <= n; and, when a > 1, transverse, a < c and
-    c+2 <= d < b.  For one c each is a run of consecutive chord ids, so no
-    pair of chords is classified.  ``classify_pair`` stays the pairwise
-    definition; the tests check that both give the same edges.
+    Each chord's partners (c, d) lie in the intervals that ``count_pairs``
+    counts.  For each c they form runs of consecutive chord ids, so each
+    neighbour set is built once from its runs and no pair of chords is
+    classified.  For chord (a, b):
+
+    * c < a: crossing, a < d < b; and, when c > 1, transverse, b < d <= n;
+    * a < c < b: crossing, b < d <= n; and, when a > 1, transverse,
+      c+2 <= d < b.
+
+    ``classify_pair`` stays the pairwise definition; the tests check that
+    both give the same edges.
     """
     chords = gn_chords(n)
     ids = chord_index(n)
-    adj: list[set[int]] = [set() for _ in chords]
-    for i, (a, b) in enumerate(chords):
-        later: list[int] = []
-        # c < n-1: no chord starts at n-1.  c > a >= 1, so (c, n) is a chord.
+    # Chord (c, d) has id base[c] + d; no chord starts at n-1 or n.
+    base = {c: ids[(c, c + 2)] - c - 2 for c in range(1, n - 1)}
+
+    def runs(a: int, b: int) -> Iterator[range]:
+        for c in range(1, a):
+            yield range(base[c] + a + 1, base[c] + b)
+            if c > 1:
+                yield range(base[c] + b + 1, base[c] + n + 1)
         for c in range(a + 1, min(b, n - 1)):
-            base = ids[(c, c + 2)] - c - 2  # chord (c, d) has id base + d
+            yield range(base[c] + b + 1, base[c] + n + 1)
             if a > 1:
-                later += range(base + c + 2, base + b)
-            later += range(base + b + 1, base + n + 1)
-        adj[i].update(later)
-        for j in later:
-            adj[j].add(i)
-    labels = tuple(chord_label(p) for p in chords)
-    return Graph(labels, tuple(frozenset(s) for s in adj), n)
+                yield range(base[c] + c + 2, base[c] + b)
+
+    adj = tuple(frozenset(chain.from_iterable(runs(a, b))) for a, b in chords)
+    return Graph(tuple(chord_label(p) for p in chords), adj, n)
 
 
 def _star_label(taken: set[str]) -> str:

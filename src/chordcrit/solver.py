@@ -22,9 +22,11 @@ interval changes no status, witness or backtrack count, only how far a
 budget may be overrun.  The loop holds vertex sets as Python ints, one bit
 per position, with positions in the static tie order (degree descending,
 then rank), so one AND tests a whole set: a neighbourhood mask per vertex,
-built once per call, a mask per colour of the vertices it is forbidden to,
-and saturation as binary bit planes, whose top-down narrowing of the
-uncoloured set leaves the next pick as its lowest bit.
+a mask per colour of the vertices it is forbidden to, and saturation as
+binary bit planes, whose top-down narrowing of the uncoloured set leaves the
+next pick as its lowest bit.  The neighbourhood masks are built once per
+call; the clique is grown on them and every search of the call reads them.
+``greedy_bound`` breaks ties by vertex id, so it builds its own.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.time_budget > 0:  # also rejects NaN
             raise ValueError("time_budget must be positive")
-        if self.backtrack_check_interval < 1:
-            raise ValueError("backtrack_check_interval must be >= 1")
+        interval = self.backtrack_check_interval
+        # The search compares its backtrack count to multiples of this.
+        if not isinstance(interval, int) or interval < 1:
+            raise ValueError("backtrack_check_interval must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,19 +96,26 @@ def clique_bound(g: Graph) -> list[int]:
 
     Each step adds the candidate with the most neighbours among the
     candidates, then the highest degree, then the lowest id.  Its size is a
-    valid lower bound on the chromatic number.
+    valid lower bound on the chromatic number.  The searches grow the same
+    clique on their own masks; this grows it on the identity numbering.
     """
-    if g.n == 0:
-        return []
-    adjm = _masks(g, range(g.n))
-    v = min(range(g.n), key=lambda u: (-g.degree(u), u))
-    clique = [v]
-    cands = adjm[v]
+    return _clique(g, _masks(g, range(g.n)), range(g.n))
+
+
+def _clique(g: Graph, adjm: list[int], order: Sequence[int]) -> list[int]:
+    """``clique_bound(g)`` grown on ``adjm = _masks(g, order)``.
+
+    Every vertex starts as a candidate, so the first step picks the vertex
+    of highest degree, then lowest id.  Returns sorted vertex ids.
+    """
+    clique = []
+    cands = (1 << g.n) - 1
     while cands:
-        v = max((u for u in range(g.n) if cands >> u & 1),
-                key=lambda u: ((adjm[u] & cands).bit_count(), g.degree(u), -u))
-        clique.append(v)
-        cands &= adjm[v]
+        q = max((p for p in range(g.n) if cands >> p & 1),
+                key=lambda p: ((adjm[p] & cands).bit_count(),
+                               g.degree(order[p]), -order[p]))
+        clique.append(order[q])
+        cands &= adjm[q]
     return sorted(clique)
 
 
@@ -121,7 +132,8 @@ def is_k_colorable(
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_budget
     order = _order(g, cfg.seed)
-    return _search(_masks(g, order), order, k, clique_bound(g), deadline,
+    adjm = _masks(g, order)
+    return _search(adjm, order, k, _clique(g, adjm, order), deadline,
                    cfg.backtrack_check_interval)
 
 
@@ -261,7 +273,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     deadline = time.monotonic() + cfg.time_budget
     order = _order(g, cfg.seed)
     adjm = _masks(g, order)
-    clique = clique_bound(g)
+    clique = _clique(g, adjm, order)
     lower = len(clique)
     witness = greedy_bound(g)
     upper = count_colors(witness)

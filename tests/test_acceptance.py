@@ -54,7 +54,7 @@ def test_criterion_2_edge_criticality_certificates():
 def test_criterion_3_solver_cross_check():
     cfg = SolverConfig(time_budget=120)
     failures = []
-    for n in range(4, 9):
+    for n in range(4, 11):
         g = gn(n)
         if is_k_colorable(g, n - 3, cfg).status != "no":
             failures.append((n, "base"))
@@ -62,7 +62,7 @@ def test_criterion_3_solver_cross_check():
             if is_k_colorable(delete_edge(g, e), n - 3, cfg).status != "yes":
                 failures.append((n, e))
     _verdict(3, not failures,
-             f"G_n needs n-2 colours but every G_n - e takes n-3, n = 4..8 (failures: {failures})")
+             f"G_n needs n-2 colours but every G_n - e takes n-3, n = 4..10 (failures: {failures})")
 
 
 def test_criterion_4_homomorphism_chain():

@@ -105,13 +105,16 @@ def test_edge_deleted_search_is_pinned():
             assert got == expected, (key, e)
 
 
+def _mask_corpus():
+    return ([gn(n) for n in range(4, 31)]
+            + [schrijver(n, 2) for n in range(4, 11)]
+            + [mycielski_iter(k) for k in range(2, 7)]
+            + [edgeless_graph(0), edgeless_graph(5)])
+
+
 def test_masks_are_adjacency_under_any_numbering():
     rng = random.Random(2011)
-    graphs = ([gn(n) for n in range(4, 31)]
-              + [schrijver(n, 2) for n in range(4, 11)]
-              + [mycielski_iter(k) for k in range(2, 7)]
-              + [edgeless_graph(0), edgeless_graph(5)])
-    for g in graphs:
+    for g in _mask_corpus():
         order = list(range(g.n))
         rng.shuffle(order)
         pos = {v: i for i, v in enumerate(order)}
@@ -119,6 +122,31 @@ def test_masks_are_adjacency_under_any_numbering():
         assert len(masks) == g.n
         for i, v in enumerate(order):
             assert masks[i] == sum(1 << pos[w] for w in g.adj[v]), (g.n, v)
+
+
+def test_clique_grows_on_any_numbering():
+    rng = random.Random(2011)
+    for g in _mask_corpus():
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert solver._clique(g, solver._masks(g, order), order) == clique_bound(g)
+
+
+def test_masks_built_once_per_search(monkeypatch):
+    calls = []
+    original = solver._masks
+
+    def counting(g, order):
+        calls.append(g.n)
+        return original(g, order)
+
+    monkeypatch.setattr(solver, "_masks", counting)
+    g = gn(8)
+    is_k_colorable(g, 5)
+    assert calls == [g.n]
+    calls.clear()
+    chromatic_number(g)
+    assert calls == [g.n, g.n]  # the search's masks and greedy_bound's
 
 
 def test_is_k_colorable_odd_cycle():
@@ -216,13 +244,13 @@ def test_timeout_overshoot_is_bounded():
 def test_time_budget_covers_setup(monkeypatch):
     # The clique alone outlasts the budget, so the search stops at its first
     # clock read, and chromatic_number before its first search.
-    original = solver.clique_bound
+    original = solver._clique
 
-    def slow(g):
+    def slow(g, *rest):
         time.sleep(0.2)
-        return original(g)
+        return original(g, *rest)
 
-    monkeypatch.setattr(solver, "clique_bound", slow)
+    monkeypatch.setattr(solver, "_clique", slow)
     cfg = SolverConfig(time_budget=0.1, backtrack_check_interval=1)
     out = is_k_colorable(gn(11), 8, cfg)
     assert (out.status, out.backtracks) == ("timeout", 1)
@@ -245,13 +273,13 @@ def test_chromatic_number_of_mycielski_iterates(k):
 
 def test_chromatic_number_computes_clique_once(monkeypatch):
     calls = []
-    original = solver.clique_bound
+    original = solver._clique
 
-    def counting(g):
+    def counting(g, *rest):
         calls.append(g.n)
-        return original(g)
+        return original(g, *rest)
 
-    monkeypatch.setattr(solver, "clique_bound", counting)
+    monkeypatch.setattr(solver, "_clique", counting)
     res = chromatic_number(gn(8))
     assert (res.chi, res.status) == (6, "exact")
     assert calls == [gn(8).n]
@@ -307,6 +335,10 @@ def test_solver_config_validation():
         SolverConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(backtrack_check_interval=0)
+    # The search tests its backtrack count for equality with multiples of
+    # the interval, so a fraction would never be hit and the budget ignored.
+    with pytest.raises(ValueError):
+        SolverConfig(backtrack_check_interval=1.5)
 
 
 # (family, n, k, seed) -> (status, backtracks, sha256 of the sorted witness),
