@@ -21,6 +21,7 @@ from .families import (
     Chord,
     InvalidParametersError,
     PairClass,
+    chord_base,
     chord_index,
     chord_label,
     classify_pair,

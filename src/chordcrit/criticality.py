@@ -9,22 +9,29 @@ its elements outside A (the min-based colouring), and covers the chords
 inside A with one, two or three fresh colours.
 
 A certificate is stored as a delta: A plus ``overrides``, the colours that
-differ from the min-based rule (at most 16 chords, the fresh classes).  The
-full colouring is built only when ``CertificateColoring.assignment`` is read.
+differ from the min-based rule (at most 16 chords, the fresh classes).  A is
+the elements the case names, and each stable pair of a fresh class gets its
+vertex id from the closed-form table ``families.chord_base``, the one that
+``gn`` numbers its chords by.  The full colouring is built only when
+``CertificateColoring.assignment`` is read.
 
 ``verify_edge_criticality`` sweeps every edge, validates each certificate
 mechanically (total, <= n-3 colours, proper after deleting the edge,
 deleted endpoints monochromatic), and can cross-check with the exact solver.
-The check reads only A and the overrides, never the whole colouring.  It is
-total when every stable chord inside A is overridden.  Edges of gn(n) join
-only disjoint chords, checked edge by edge: ``select_case`` accepts only
-crossing and transverse pairs.  So a class whose chords all contain its
-colour is independent; every min-based class is one.  Only the
-overridden chords that lack their colour are checked against their
-neighbours, skipping the deleted edge: for a fresh colour (> n), which no
-chord contains and so only overridden chords carry, against the other
-chords of that colour; for any other colour, against all neighbours.
-Colours are counted from A and the overrides too (``colors_used``).
+The check reads only A and the overrides, never the whole colouring, and
+walks the overrides once (``_walk``).  That walk counts the overridden
+chords inside A: the certificate is total when every stable chord inside A
+is one of them.  Edges of gn(n) join only disjoint chords, checked edge by
+edge: ``select_case`` accepts only crossing and transverse pairs.  So a
+class whose chords all contain its colour is independent; every min-based
+class is one.  Only the overridden chords that lack their colour are
+checked, skipping the deleted edge, and the walk sorts them for it: for a
+fresh colour (> n), which no chord contains and so only overridden chords
+carry, it collects the class, whose members are checked against each
+other; it sets aside each override of another colour, checked against all
+of its neighbours.  It also counts the min-based colours the overrides
+displace, and the colours are counted from those tallies and A
+(``_count_colors``, which ``colors_used`` goes through as well).
 
 ``verify_vertex_criticality`` makes one solver decision per deleted vertex.
 """
@@ -35,13 +42,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 from .families import (
     Chord,
     InvalidParametersError,
-    chord_index,
+    chord_base,
     classify_pair,
     gn,
     gn_chords,
@@ -156,53 +163,88 @@ class CertificateColoring:
     @property
     def colors_used(self) -> int:
         """Distinct colours, counted from A and the overrides alone."""
-        return _colors_used(self, gn_chords(self.n))
+        A = set(self.A)
+        _, fresh, displaced, low = _walk(self.n, self.overrides, gn_chords(self.n), A)
+        return _count_colors(self.n, self.A, A, displaced, fresh, low)
 
 
-def _colors_used(cert: CertificateColoring, chords: tuple[Chord, ...]) -> int:
-    """``cert.colors_used``, given the chords of gn(n).
+def _walk(
+    n: int, overrides: dict[int, int], chords: tuple[Chord, ...], A: set[int]
+) -> tuple[int, dict[int, list[int]], dict[int, int], list[tuple[int, int]]]:
+    """One pass over the overrides of a certificate with anchor set A.
+
+    Returns the number of overridden chords inside A; the fresh classes,
+    colour (> n) -> overridden chords; the min-based colours the overrides
+    displace, min(v \\ A) -> count; and the overrides (v, c) of colour c <= n.
+    """
+    inside = 0
+    fresh: dict[int, list[int]] = {}
+    displaced: dict[int, int] = {}
+    low: list[tuple[int, int]] = []
+    for v, c in overrides.items():
+        x, y = chords[v]
+        if x not in A:
+            displaced[x] = displaced.get(x, 0) + 1
+        elif y not in A:
+            displaced[y] = displaced.get(y, 0) + 1
+        else:
+            inside += 1
+        if c <= n:
+            low.append((v, c))
+        elif c in fresh:
+            fresh[c].append(v)
+        else:
+            fresh[c] = [v]
+    return inside, fresh, displaced, low
+
+
+def _count_colors(
+    n: int,
+    elems: tuple[int, ...],
+    A: set[int],
+    displaced: dict[int, int],
+    fresh: dict[int, list[int]],
+    low: list[tuple[int, int]],
+) -> int:
+    """Distinct colours of a certificate, from the tallies of ``_walk``.
 
     Every element e outside A is the min-based colour of some chord when
     e <= n-2, since (e, e+2) is one; so e colours nothing only when it is
-    n-1 or n, or when all the chords it would colour are overridden.
+    n-1 or n, or when all the chords it would colour are overridden.  Each
+    fresh colour is a colour; an override colour c <= n adds one unless it
+    is already counted as an element outside A that still colours a chord.
     """
-    n, A, overrides = cert.n, set(cert.A), cert.overrides
-    # Overridden chords by the min-based colour they no longer carry.
-    displaced: dict[int, int] = {}
-    for v in overrides:
-        x, y = chords[v]
-        m = x if x not in A else y  # min(v \ A) unless v is inside A
-        if m not in A:
-            displaced[m] = displaced.get(m, 0) + 1
-    unused = {
-        e for e in (n - 1, n, *displaced)
-        if e not in A and _min_class_size(n, cert.A, e) == displaced.get(e, 0)
-    }
-    extra = sum(
-        1 for c in set(overrides.values())
-        if not 1 <= c <= n or c in A or c in unused
-    )
-    return n - len(A) - len(unused) + extra
+    unused = set()
+    for e in (n - 1, n, *displaced):
+        if e not in A and _min_class_size(n, elems, e) == displaced.get(e, 0):
+            unused.add(e)
+    extra = {c for _, c in low if c < 1 or c in A or c in unused}
+    return n - len(A) - len(unused) + len(fresh) + len(extra)
 
 
-def _special_classes(sel: CaseSelection) -> tuple[int | None, list[list[Chord]]]:
-    """The interior element x (transverse case only) and the chord sets for
-    the fresh colours, before stability filtering.
+def _special_classes(
+    sel: CaseSelection,
+) -> tuple[int | None, tuple[int, ...], list[list[Chord]]]:
+    """The interior element x (transverse case only), the anchor set A and
+    the chord sets for the fresh colours, before stability filtering.
 
-    Each pair is written smaller element first (a < c < b < d in the
-    crossing cases, 1 < a < c < x < d < b in the transverse one), so it is
-    a key of ``chord_index`` exactly when it is a stable chord.
+    A is every element the case names, in increasing order: a < c < b < d
+    in the crossing cases, after 1 when a > 1, and 1 < a < c < x < d < b in
+    the transverse one.  Each pair is written smaller element first, so it
+    is a stable chord exactly when its elements are two apart or more and
+    it is not (1, n).
     """
     a, b, c, d = sel.a, sel.b, sel.c, sel.d
     if sel.case is CriticalCase.CROSSING_WITH_1:
-        return None, [list(combinations((a, c, b, d), 2))]
+        A = (a, c, b, d)
+        return None, A, [list(combinations(A, 2))]
     if sel.case is CriticalCase.CROSSING_WITHOUT_1:
-        return None, [
+        return None, (1, a, c, b, d), [
             [(1, a), (1, b), (1, c), (1, d), (c, b), (b, d)],
             [(a, b), (a, c), (a, d), (c, d)],
         ]
     x = c + 1  # smallest element strictly inside (c, d); exists since d-c >= 2
-    return x, [
+    return x, (1, a, c, x, d, b), [
         [(1, a), (1, x), (1, d), (a, x), (x, d)],
         [(1, b), (1, c), (c, b), (x, b), (c, x)],
         [(a, b), (a, c), (a, d), (c, d), (d, b)],
@@ -219,23 +261,14 @@ def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:
     only stable chords are kept.
     """
     sel = select_case(n, p, q)
-    x, raw_classes = _special_classes(sel)
-    A = tuple(sorted(set(chain.from_iterable(chain.from_iterable(raw_classes)))))
-
-    ids = chord_index(n)
+    x, A, raw_classes = _special_classes(sel)
+    base = chord_base(n)
     overrides: dict[int, int] = {}
     for color_id, raw in enumerate(raw_classes, start=n + 1):
-        for pair in raw:
-            i = ids.get(pair)
-            if i is not None:  # the pair is a stable chord
-                overrides[i] = color_id
-    return CertificateColoring(
-        n=n,
-        case=sel.case,
-        x=x,
-        A=A,
-        overrides=overrides,
-    )
+        for s, t in raw:
+            if t - s > 1 and (s > 1 or t < n):  # (s, t) is a stable chord
+                overrides[base[s] + t] = color_id
+    return CertificateColoring(n, sel.case, x, A, overrides)
 
 
 class EdgeCertRow(NamedTuple):
@@ -298,31 +331,30 @@ def _certify_one(
         raise AssertionError(f"gn({n}): {exc}") from exc
     A = set(cert.A)
     overrides = cert.overrides
+    adj = g.adj
 
     def color(v: int) -> int | None:
         c = overrides.get(v)
         return c if c is not None else _min_color(chords[v], A)
 
+    inside, fresh, displaced, low = _walk(n, overrides, chords, A)
     # Edges of gn(n) join disjoint chords, so one end of a monochromatic
     # edge lacks the shared colour, and only overridden chords lack theirs.
-    inside = 0
+    # A fresh colour (> n) is in no chord, so only its class carries it.
     proper = True
-    fresh: dict[int, list[int]] = {}
-    for v, c in overrides.items():
-        x, y = chords[v]
-        if x in A and y in A:
-            inside += 1
-        if c > n:  # in no chord, so carried by overridden chords only
-            fresh.setdefault(c, []).append(v)
-        elif c != x and c != y:
-            for w in g.adj[v]:
+    for v, c in low:
+        if c not in chords[v]:
+            for w in adj[v]:
                 if color(w) == c and edge(v, w) != e:
                     proper = False
     # A fresh class may hold one edge of gn(n), the deleted one; the sum
     # counts each edge inside the class twice.
     for members in fresh.values():
         cls = set(members)
-        inner = sum(len(cls & g.adj[v]) for v in members)
+        inner = 0
+        for v in members:
+            if not cls.isdisjoint(adj[v]):  # most members have no such edge
+                inner += len(cls & adj[v])
         if inner > 2 * (e.u in cls and e.v in cls):
             proper = False
     # Total: every stable chord inside A is overridden.  Override keys are
@@ -331,13 +363,13 @@ def _certify_one(
     elems = cert.A
     stable_inside = (
         len(elems) * (len(elems) - 1) // 2
-        - sum(y - x == 1 for x, y in zip(elems, elems[1:]))
+        - [y - x for x, y in zip(elems, elems[1:])].count(1)
         - (1 in A and n in A)
     )
     total = inside == stable_inside
     proper = proper and total
     endpoints_mono = total and color(e.u) == color(e.v)
-    colors_used = _colors_used(cert, chords)
+    colors_used = _count_colors(n, elems, A, displaced, fresh, low)
     ok = total and proper and endpoints_mono and colors_used <= n - 3
     return EdgeCertRow(
         edge=f"{g.labels[e.u]},{g.labels[e.v]}",  # ids are lexicographic

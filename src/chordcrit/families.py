@@ -179,18 +179,35 @@ def gn_chords(n: int) -> tuple[Chord, ...]:
 
 
 @lru_cache(maxsize=_CHORD_CACHE_SIZE)
+def chord_base(n: int) -> tuple[int, ...]:
+    """Closed-form chord ids of gn(n): chord (s, t) has id ``base[s] + t``.
+
+    The ids follow ``gn_chords(n)``.  The chords before (s, s+2) are the
+    n-1-r chords (r, .) for each r < s, less (1, n), so
+    ``base[s] = (s-1)(n-1) - s(s-1)/2 - [s > 1] - s - 2``.  Entry 0 is
+    unused; no chord starts at n-1 or n.
+    """
+    if n < 4:
+        raise InvalidParametersError(f"need n >= 4, got n={n}")
+    return (0, *((s - 1) * (n - 1) - s * (s - 1) // 2 - (s > 1) - s - 2
+                 for s in range(1, n - 1)))
+
+
+@lru_cache(maxsize=_CHORD_CACHE_SIZE)
 def chord_index(n: int) -> MappingProxyType[Chord, int]:
     """Read-only map from each chord of gn(n) to its vertex id."""
-    return MappingProxyType({p: i for i, p in enumerate(gn_chords(n))})
+    base = chord_base(n)
+    return MappingProxyType({(s, t): base[s] + t for s, t in gn_chords(n)})
 
 
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
     Each chord's partners (c, d) lie in the intervals that ``count_pairs``
-    counts.  For each c they form runs of consecutive chord ids, so each
-    neighbour set is built once from its runs and no pair of chords is
-    classified.  For chord (a, b):
+    counts.  For each c they form runs of consecutive chord ids, since
+    (c, d) has id ``chord_base(n)[c] + d``, so each neighbour set is built
+    once from its runs and no pair of chords is classified.  For chord
+    (a, b):
 
     * c < a: crossing, a < d < b; and, when c > 1, transverse, b < d <= n;
     * a < c < b: crossing, b < d <= n; and, when a > 1, transverse,
@@ -200,9 +217,7 @@ def gn(n: int) -> Graph:
     both give the same edges.
     """
     chords = gn_chords(n)
-    ids = chord_index(n)
-    # Chord (c, d) has id base[c] + d; no chord starts at n-1 or n.
-    base = {c: ids[(c, c + 2)] - c - 2 for c in range(1, n - 1)}
+    base = chord_base(n)
 
     def runs(a: int, b: int) -> Iterator[range]:
         for c in range(1, a):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .families import (
     InvalidParametersError,
-    chord_index,
+    chord_base,
     gn,
     gn_chords,
     mycielski,
@@ -59,10 +59,10 @@ def build_h(n: int) -> tuple[int, ...]:
     if n < 5:
         raise InvalidParametersError(f"need n >= 5, got n={n}")
     chords = gn_chords(n - 1)
-    ids = chord_index(n)
-    base = [ids[p] for p in chords]
-    clones = [ids[(b, n) if a == 1 else (a, n)] for a, b in chords]
-    return (*base, *clones, ids[(1, n - 1)])
+    base = chord_base(n)
+    images = [base[a] + b for a, b in chords]
+    clones = [base[b if a == 1 else a] + n for a, b in chords]
+    return (*images, *clones, base[1] + n - 1)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,15 +109,24 @@ def _clique(g: Graph, adjm: list[int], order: Sequence[int]) -> list[int]:
     Every vertex starts as a candidate, so the first step picks the vertex
     of highest degree, then lowest id.  Returns sorted vertex ids.
     """
+    degree = [g.degree(v) for v in order]
     clique = []
     cands = (1 << g.n) - 1
     while cands:
-        q = max((p for p in range(g.n) if cands >> p & 1),
-                key=lambda p: ((adjm[p] & cands).bit_count(),
-                               g.degree(order[p]), -order[p]))
+        # The keys differ in -order[p], so the trailing p is never compared.
+        q = max(((adjm[p] & cands).bit_count(), degree[p], -order[p], p)
+                for p in _bits(cands))[-1]
         clique.append(order[q])
         cands &= adjm[q]
     return sorted(clique)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_k_colorable(
@@ -139,8 +149,13 @@ def is_k_colorable(
 
 def _order(g: Graph, seed: int) -> list[int]:
     """The vertices by degree, highest first, ties in the seed's random order."""
-    tie_order = np.random.default_rng(seed).permutation(g.n).tolist()
-    return sorted(tie_order, key=g.degree, reverse=True)
+    return sorted(_tie_order(seed, g.n), key=g.degree, reverse=True)
+
+
+@lru_cache(maxsize=128)
+def _tie_order(seed: int, n: int) -> tuple[int, ...]:
+    """The seed's random permutation of range(n), drawn once per (seed, n)."""
+    return tuple(np.random.default_rng(seed).permutation(n).tolist())
 
 
 def _masks(g: Graph, order: Sequence[int]) -> list[int]:

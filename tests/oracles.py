@@ -191,6 +191,24 @@ def brute_hom_violations(G: Graph, H: Graph, mapping) -> tuple[Edge, ...]:
     return tuple(e for e in G.edges() if not H.has_edge(mapping[e.u], mapping[e.v]))
 
 
+def max_key_clique(g: Graph, adjm: list[int], order) -> list[int]:
+    """The greedy clique on ``adjm = solver._masks(g, order)``, picked by a
+    max over every position with the degree read from g at each key.
+
+    Each step takes the candidate with the most neighbours among the
+    candidates, then the highest degree, then the lowest vertex id.
+    """
+    clique = []
+    cands = (1 << g.n) - 1
+    while cands:
+        q = max((p for p in range(g.n) if cands >> p & 1),
+                key=lambda p: ((adjm[p] & cands).bit_count(),
+                               g.degree(order[p]), -order[p]))
+        clique.append(order[q])
+        cands &= adjm[q]
+    return sorted(clique)
+
+
 def brute_is_k_colorable(g: Graph, k: int) -> bool:
     edges = [(e.u, e.v) for e in g.edges()]
     for assign in product(range(k), repeat=g.n):

@@ -361,6 +361,90 @@ def test_dropped_override_matches_full_scan_oracle(monkeypatch, n):
     assert not any(r.total for r in rows)
 
 
+@pytest.mark.parametrize("n", range(6, 11))
+def test_chord_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
+    """Give a chord outside A the colour of a fresh class: the class check
+    must see it, and the count must see the min-based colour it leaves."""
+    original = criticality.critical_coloring
+    chords = gn_chords(n)
+
+    def widened(n, p, q):
+        cert = original(n, p, q)
+        rng = random.Random(f"{n}:{p}:{q}")
+        outside = [v for v, t in enumerate(chords) if not set(t) <= set(cert.A)]
+        if not outside:
+            return cert
+        overrides = {**cert.overrides, rng.choice(outside): n + 1}
+        return dataclasses.replace(cert, overrides=overrides)
+
+    monkeypatch.setattr(criticality, "critical_coloring", widened)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {True, False}
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_edge_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
+    """Put both ends of an edge outside A into a fresh class: neither end
+    is inside A, and the class check must still see the edge."""
+    original = criticality.critical_coloring
+    g = gn(n)
+    chords = gn_chords(n)
+    changed = []
+
+    def joined(n, p, q):
+        cert = original(n, p, q)
+        outside = {v for v, t in enumerate(chords) if not set(t) <= set(cert.A)}
+        pairs = [(v, w) for v in sorted(outside) for w in sorted(g.adj[v] & outside)
+                 if v < w]
+        if not pairs:
+            return cert
+        changed.append((p, q))
+        v, w = random.Random(f"{n}:{p}:{q}").choice(pairs)
+        overrides = {**cert.overrides, v: n + 1, w: n + 1}
+        return dataclasses.replace(cert, overrides=overrides)
+
+    monkeypatch.setattr(criticality, "critical_coloring", joined)
+    rows = list(verify_edge_criticality(n).rows)
+    assert 0 < sum(not r.proper for r in rows) == len(changed)
+    assert rows == full_scan_rows(n)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_neighbour_moved_into_fresh_class_matches_full_scan_oracle(monkeypatch, n):
+    """Move a neighbour of a fresh-class member into that class: the class
+    then holds an edge other than the deleted one."""
+    original = criticality.critical_coloring
+    g = gn(n)
+    ids = families.chord_index(n)
+
+    def joined(n, p, q):
+        cert = original(n, p, q)
+        rng = random.Random(f"{n}:{p}:{q}")
+        v = rng.choice(sorted(cert.overrides))
+        c = cert.overrides[v]
+        deleted = {ids[p], ids[q]}
+        nbrs = sorted(w for w in g.adj[v] if cert.overrides.get(w) != c
+                      and {v, w} != deleted)
+        overrides = {**cert.overrides, rng.choice(nbrs): c}
+        return dataclasses.replace(cert, overrides=overrides)
+
+    monkeypatch.setattr(criticality, "critical_coloring", joined)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {False}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_row_colors_used_matches_certificate(n):
+    g = gn(n)
+    chords = gn_chords(n)
+    rows = verify_edge_criticality(n).rows
+    for row, e in zip(rows, g.edges(), strict=True):
+        cert = critical_coloring(n, chords[e.u], chords[e.v])
+        assert row.colors_used == cert.colors_used, row.edge
+
+
 def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):
     n = 7
     ids = families.chord_index(n)

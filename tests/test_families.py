@@ -4,6 +4,7 @@ import pytest
 from chordcrit.families import (
     InvalidParametersError,
     PairClass,
+    chord_base,
     chord_index,
     chord_label,
     classify_pair,
@@ -190,6 +191,18 @@ def test_chord_index_matches_chord_order():
         chords = gn_chords(n)
         assert isinstance(chords, tuple)
         assert dict(chord_index(n)) == {p: i for i, p in enumerate(chords)}
+
+
+def test_chord_base_gives_every_chord_id():
+    for n in range(4, 61):
+        base = chord_base(n)
+        assert len(base) == n - 1  # entry 0 unused; no chord starts at n-1, n
+        assert [base[s] + t for s, t in gn_chords(n)] == list(range(len(gn_chords(n))))
+
+
+def test_chord_base_needs_four_points():
+    with pytest.raises(InvalidParametersError):
+        chord_base(3)
 
 
 def test_chord_index_is_read_only():

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from chordcrit import solver
@@ -24,7 +25,7 @@ from helpers import (
     sha256,
     small_corpus,
 )
-from oracles import brute_chromatic, brute_is_k_colorable
+from oracles import brute_chromatic, brute_is_k_colorable, max_key_clique
 
 
 def test_greedy_bound_is_proper():
@@ -130,6 +131,25 @@ def test_clique_grows_on_any_numbering():
         order = list(range(g.n))
         rng.shuffle(order)
         assert solver._clique(g, solver._masks(g, order), order) == clique_bound(g)
+
+
+def test_clique_matches_max_key_rule_on_any_numbering():
+    rng = random.Random(2013)
+    for g in _mask_corpus():
+        for _ in range(3):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            adjm = solver._masks(g, order)
+            assert solver._clique(g, adjm, order) == max_key_clique(g, adjm, order)
+
+
+def test_tie_order_is_the_seeds_permutation():
+    for seed in range(21):
+        for n in range(61):
+            expected = np.random.default_rng(seed).permutation(n).tolist()
+            assert solver._tie_order(seed, n) == tuple(expected), (seed, n)
+            # Drawn once: the second call returns the cached tuple.
+            assert solver._tie_order(seed, n) is solver._tie_order(seed, n)
 
 
 def test_masks_built_once_per_search(monkeypatch):
