@@ -22,7 +22,6 @@ from .families import (
     InvalidParametersError,
     PairClass,
     chord_base,
-    chord_index,
     chord_label,
     classify_pair,
     gn,

@@ -11,6 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .criticality import (
     critical_coloring,
@@ -37,12 +38,15 @@ EXIT_PARAM = 2
 EXIT_TIMEOUT = 3
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each string of an iterable as it is made, to the file
+    out or to stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _exit_code(ok: bool, timed_out: bool = False) -> int:
@@ -83,7 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "edge-critical":
         report = verify_edge_criticality(args.n, use_solver=args.with_solver, cfg=cfg)
         ok = report.all_pass and report.solver_confirms_chromatic in (None, True)
-        _emit(report.render(), args.out)
+        _emit(report.lines(), args.out)
         return _exit_code(ok, report.solver_timed_out)
     if args.target == "vertex-critical":
         g = schrijver(args.n, 2) if args.family == "sg" else gn(args.n)

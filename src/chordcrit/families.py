@@ -21,7 +21,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations
-from types import MappingProxyType
 from typing import Iterator
 
 from .graph import Graph, build_graph
@@ -191,13 +190,6 @@ def chord_base(n: int) -> tuple[int, ...]:
         raise InvalidParametersError(f"need n >= 4, got n={n}")
     return (0, *((s - 1) * (n - 1) - s * (s - 1) // 2 - (s > 1) - s - 2
                  for s in range(1, n - 1)))
-
-
-@lru_cache(maxsize=_CHORD_CACHE_SIZE)
-def chord_index(n: int) -> MappingProxyType[Chord, int]:
-    """Read-only map from each chord of gn(n) to its vertex id."""
-    base = chord_base(n)
-    return MappingProxyType({(s, t): base[s] + t for s, t in gn_chords(n)})
 
 
 def gn(n: int) -> Graph:

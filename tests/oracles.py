@@ -4,14 +4,21 @@ Everything here works by exhaustive enumeration directly from definitions;
 the library must agree with these on small instances.
 """
 
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from chordcrit import criticality
-from chordcrit.criticality import EdgeCertRow
-from chordcrit.families import chord_label
-from chordcrit.graph import Edge, Graph, build_graph
+from chordcrit.criticality import (
+    CertificateColoring,
+    CriticalCase,
+    EdgeCertRow,
+    select_case,
+)
+from chordcrit.families import chord_label, gn, gn_chords
+from chordcrit.graph import Edge, Graph, build_graph, edge
 from helpers import gn_edge_arrays
 
 
@@ -163,6 +170,140 @@ def full_scan_rows(n: int) -> list[EdgeCertRow]:
             verdict="pass" if ok else "fail",
         ))
     return rows
+
+
+def per_edge_rows(n: int) -> list[EdgeCertRow]:
+    """The rows of ``verify_edge_criticality(n)``, each certificate checked
+    on its own by one walk over its overrides, reading gn(n)'s adjacency
+    sets.
+
+    Edges of gn(n) join disjoint chords, so a class whose chords all
+    contain its colour is independent: only a fresh class (colour > n) is
+    checked inside itself, where it may hold the deleted edge alone, and
+    only an override of colour <= n that its chord lacks is checked against
+    its neighbours.  The certificate comes from ``scalar_certificate``.
+    """
+    g = gn(n)
+    chords = gn_chords(n)
+    return [_walk_rows(n, g, chords, e) for e in g.edges()]
+
+
+def scalar_certificate(n: int, p, q) -> CertificateColoring:
+    """The certificate of the edge {p, q} of gn(n), built for that edge
+    alone from its case's anchor set A and fresh classes.
+
+    A is every element the case names, in increasing order: a < c < b < d
+    in the crossing cases, after 1 when a > 1, and 1 < a < c < x < d < b
+    with x = c+1 in the transverse one.  Each pair below is written smaller
+    element first; the stable ones, two apart or more and not (1, n), get
+    the fresh colours n+1, n+2, ... class by class.
+    """
+    sel = select_case(n, p, q)
+    a, b, c, d = sel.a, sel.b, sel.c, sel.d
+    x = None
+    if sel.case is CriticalCase.CROSSING_WITH_1:
+        A = (a, c, b, d)
+        classes = [list(combinations(A, 2))]
+    elif sel.case is CriticalCase.CROSSING_WITHOUT_1:
+        A = (1, a, c, b, d)
+        classes = [
+            [(1, a), (1, b), (1, c), (1, d), (c, b), (b, d)],
+            [(a, b), (a, c), (a, d), (c, d)],
+        ]
+    else:
+        x = c + 1
+        A = (1, a, c, x, d, b)
+        classes = [
+            [(1, a), (1, x), (1, d), (a, x), (x, d)],
+            [(1, b), (1, c), (c, b), (x, b), (c, x)],
+            [(a, b), (a, c), (a, d), (c, d), (d, b)],
+        ]
+    ids = _chord_ids(n)
+    overrides = {
+        ids[(s, t)]: color
+        for color, pairs in enumerate(classes, start=n + 1)
+        for s, t in pairs
+        if t - s > 1 and (s > 1 or t < n)
+    }
+    return CertificateColoring(n, sel.case, x, A, overrides)
+
+
+@lru_cache(maxsize=None)
+def _chord_ids(n: int) -> dict[tuple[int, int], int]:
+    return {t: i for i, t in enumerate(brute_chords(n))}
+
+
+def _walk_rows(n: int, g: Graph, chords, e: Edge) -> EdgeCertRow:
+    cert = scalar_certificate(n, chords[e.u], chords[e.v])
+    A = set(cert.A)
+    overrides = cert.overrides
+
+    def min_color(v):
+        x, y = chords[v]
+        if x not in A:
+            return x
+        return y if y not in A else None
+
+    def color(v):
+        c = overrides.get(v)
+        return c if c is not None else min_color(v)
+
+    inside = 0
+    fresh: dict[int, list[int]] = {}
+    displaced: dict[int, int] = {}
+    low: list[tuple[int, int]] = []
+    for v, c in overrides.items():
+        m = min_color(v)
+        if m is None:
+            inside += 1
+        else:
+            displaced[m] = displaced.get(m, 0) + 1
+        if c <= n:
+            low.append((v, c))
+        else:
+            fresh.setdefault(c, []).append(v)
+    proper = True
+    for v, c in low:
+        if c not in chords[v]:
+            for w in g.adj[v]:
+                if color(w) == c and edge(v, w) != e:
+                    proper = False
+    for members in fresh.values():
+        cls = set(members)
+        inner = sum(len(cls & g.adj[v]) for v in members)  # each edge twice
+        if inner > 2 * (e.u in cls and e.v in cls):
+            proper = False
+    elems = cert.A
+    stable_inside = (
+        len(elems) * (len(elems) - 1) // 2
+        - [y - x for x, y in zip(elems, elems[1:])].count(1)
+        - (1 in A and n in A)
+    )
+    total = inside == stable_inside
+    proper = proper and total
+    endpoints_mono = total and color(e.u) == color(e.v)
+    # Element e outside A colours nothing when every chord whose min-based
+    # colour it is, (e, y >= e+2) and (x in A, x <= e-2) but (1, n), is
+    # overridden; e <= n-2 always has (e, e+2), so only n-1, n and the
+    # displaced colours can.
+    unused = set()
+    for x in (n - 1, n, *displaced):
+        later = max((n - 1 if x == 1 else n) - x - 1, 0)
+        earlier = bisect_right(elems, x - 2) - (x == n and 1 in A)
+        if x not in A and later + earlier == displaced.get(x, 0):
+            unused.add(x)
+    extra = {c for _, c in low if c < 1 or c in A or c in unused}
+    colors_used = n - len(A) - len(unused) + len(fresh) + len(extra)
+    ok = total and proper and endpoints_mono and colors_used <= n - 3
+    return EdgeCertRow(
+        edge=f"{g.labels[e.u]},{g.labels[e.v]}",
+        case=cert.case.value,
+        colors_used=colors_used,
+        proper=proper,
+        endpoints_monochromatic=endpoints_mono,
+        total=total,
+        verdict="pass" if ok else "fail",
+    )
 
 
 def edge_list_mycielski(g: Graph) -> Graph:

@@ -1,6 +1,7 @@
 import pytest
 
 from chordcrit.cli import EXIT_OK, EXIT_PARAM, EXIT_TIMEOUT, EXIT_VERIFY_FAIL, _exit_code, main
+from chordcrit.criticality import verify_edge_criticality
 from chordcrit.graph import parse_graph
 
 
@@ -47,6 +48,19 @@ def test_verify_edge_critical(capsys):
     code, out, _ = run(capsys, "verify", "edge-critical", "--n", "6")
     assert code == EXIT_OK
     assert "certificates 16/16 valid at n=6" in out
+
+
+def test_verify_edge_critical_writes_the_rendered_report(capsys, tmp_path):
+    """The report is written a line at a time, to stdout or to --out, and
+    the bytes are those of render()."""
+    expected = verify_edge_criticality(8, use_solver=True).render()
+    code, out, _ = run(capsys, "verify", "edge-critical", "--n", "8", "--with-solver")
+    assert (code, out) == (EXIT_OK, expected)
+    out_path = tmp_path / "report.txt"
+    code, out, _ = run(capsys, "verify", "edge-critical", "--n", "8", "--with-solver",
+                       "--out", str(out_path))
+    assert (code, out) == (EXIT_OK, "")
+    assert out_path.read_text() == expected
 
 
 def test_verify_edge_critical_with_solver(capsys):

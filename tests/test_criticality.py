@@ -2,6 +2,7 @@ import dataclasses
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from chordcrit import criticality, families
@@ -34,11 +35,50 @@ from chordcrit.graph import (
 from chordcrit.solver import ColorDecision, SolverConfig, chromatic_number
 
 from helpers import PINNED, cycle_graph, edgeless_graph, sha256, small_corpus
-from oracles import brute_chords, brute_chromatic, brute_pair_class, full_scan_rows
+from oracles import (
+    brute_chords,
+    brute_chromatic,
+    brute_pair_class,
+    full_scan_rows,
+    per_edge_rows,
+    scalar_certificate,
+)
 
 
 def chord_of(n, label):
     return tuple(int(ch) for ch in label)
+
+
+def chord_id(n, p):
+    s, t = p
+    return families.chord_base(n)[s] + t
+
+
+def change_certificates(monkeypatch, change):
+    """Make every certificate ``change(n, p, q, cert)``, where cert is the
+    certificate built for the edge {p, q}.
+
+    The change goes in at the batch construction, so the sweep,
+    ``critical_coloring`` and the oracles that call it all see it.
+    """
+    original = criticality._certificate_batch
+
+    def changed(n, p, q):
+        batch = original(n, p, q)
+        certs = [
+            change(n, tuple(p[r].tolist()), tuple(q[r].tolist()),
+                   criticality._row_certificate(n, batch, r))
+            for r in range(len(p))
+        ]
+        return batch._replace(
+            row=np.array([r for r, c in enumerate(certs) for _ in c.overrides],
+                         dtype=np.int64),
+            chord=np.array([v for c in certs for v in c.overrides], dtype=np.int64),
+            color=np.array([k for c in certs for k in c.overrides.values()],
+                           dtype=np.int64),
+        )
+
+    monkeypatch.setattr(criticality, "_certificate_batch", changed)
 
 
 def classes_by_special(n, cert):
@@ -300,14 +340,36 @@ def test_sweep_matches_full_scan_oracle(n):
     assert list(verify_edge_criticality(n).rows) == full_scan_rows(n)
 
 
+@pytest.mark.parametrize("n", range(4, 15))
+def test_certificates_match_scalar_construction(n):
+    """The batch construction, read one row at a time, builds the same
+    case, x, A and overrides as the edge-by-edge construction."""
+    g = gn(n)
+    chords = gn_chords(n)
+    for e in g.edges():
+        p, q = chords[e.u], chords[e.v]
+        assert critical_coloring(n, p, q) == scalar_certificate(n, p, q), (p, q)
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_sweep_matches_per_edge_oracle(n):
+    """Past the full scan's reach: each certificate checked on its own."""
+    assert list(verify_edge_criticality(n).rows) == per_edge_rows(n)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_rows_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    expected = {n: verify_edge_criticality(n).rows for n in range(4, 13)}
+    monkeypatch.setattr(criticality, "_CHUNK", chunk)
+    for n in range(4, 13):
+        assert verify_edge_criticality(n).rows == expected[n], n
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
     """Recolour one chord of every certificate to another colour in use:
     the check of the overrides must still agree with the full scan."""
-    original = criticality.critical_coloring
-
-    def perturbed(n, p, q):
-        cert = original(n, p, q)
+    def perturbed(n, p, q, cert):
         rng = random.Random(f"{n}:{p}:{q}")
         assignment = cert.assignment
         v = rng.choice(sorted(assignment))
@@ -315,7 +377,7 @@ def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
         overrides = {**cert.overrides, v: rng.choice(others)}
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", perturbed)
+    change_certificates(monkeypatch, perturbed)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {True, False}
@@ -326,18 +388,15 @@ def test_endpoints_recoloured_inside_a_match_full_scan_oracle(monkeypatch, n):
     """Give both ends of the deleted edge an element of A that neither
     contains: only the deleted edge joins two chords of that colour, so the
     check must skip it for a colour <= n too."""
-    original = criticality.critical_coloring
-
-    def recoloured(n, p, q):
-        cert = original(n, p, q)
+    def recoloured(n, p, q, cert):
         spare = sorted(set(cert.A) - set(p) - set(q))
         if not spare:
             return cert
-        ids = families.chord_index(n)
-        overrides = {**cert.overrides, ids[p]: spare[-1], ids[q]: spare[-1]}
+        overrides = {**cert.overrides, chord_id(n, p): spare[-1],
+                     chord_id(n, q): spare[-1]}
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", recoloured)
+    change_certificates(monkeypatch, recoloured)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {True}
@@ -347,15 +406,12 @@ def test_endpoints_recoloured_inside_a_match_full_scan_oracle(monkeypatch, n):
 def test_dropped_override_matches_full_scan_oracle(monkeypatch, n):
     """Drop one override of every certificate: a chord inside A is left
     uncoloured, and the check must find the certificate not total."""
-    original = criticality.critical_coloring
-
-    def dropped(n, p, q):
-        cert = original(n, p, q)
+    def dropped(n, p, q, cert):
         overrides = dict(cert.overrides)
         del overrides[random.Random(f"{n}:{p}:{q}").choice(sorted(overrides))]
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", dropped)
+    change_certificates(monkeypatch, dropped)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert not any(r.total for r in rows)
@@ -365,11 +421,9 @@ def test_dropped_override_matches_full_scan_oracle(monkeypatch, n):
 def test_chord_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
     """Give a chord outside A the colour of a fresh class: the class check
     must see it, and the count must see the min-based colour it leaves."""
-    original = criticality.critical_coloring
     chords = gn_chords(n)
 
-    def widened(n, p, q):
-        cert = original(n, p, q)
+    def widened(n, p, q, cert):
         rng = random.Random(f"{n}:{p}:{q}")
         outside = [v for v, t in enumerate(chords) if not set(t) <= set(cert.A)]
         if not outside:
@@ -377,7 +431,7 @@ def test_chord_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n)
         overrides = {**cert.overrides, rng.choice(outside): n + 1}
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", widened)
+    change_certificates(monkeypatch, widened)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {True, False}
@@ -387,13 +441,11 @@ def test_chord_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n)
 def test_edge_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
     """Put both ends of an edge outside A into a fresh class: neither end
     is inside A, and the class check must still see the edge."""
-    original = criticality.critical_coloring
     g = gn(n)
     chords = gn_chords(n)
     changed = []
 
-    def joined(n, p, q):
-        cert = original(n, p, q)
+    def joined(n, p, q, cert):
         outside = {v for v, t in enumerate(chords) if not set(t) <= set(cert.A)}
         pairs = [(v, w) for v in sorted(outside) for w in sorted(g.adj[v] & outside)
                  if v < w]
@@ -404,7 +456,7 @@ def test_edge_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
         overrides = {**cert.overrides, v: n + 1, w: n + 1}
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", joined)
+    change_certificates(monkeypatch, joined)
     rows = list(verify_edge_criticality(n).rows)
     assert 0 < sum(not r.proper for r in rows) == len(changed)
     assert rows == full_scan_rows(n)
@@ -414,22 +466,19 @@ def test_edge_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
 def test_neighbour_moved_into_fresh_class_matches_full_scan_oracle(monkeypatch, n):
     """Move a neighbour of a fresh-class member into that class: the class
     then holds an edge other than the deleted one."""
-    original = criticality.critical_coloring
     g = gn(n)
-    ids = families.chord_index(n)
 
-    def joined(n, p, q):
-        cert = original(n, p, q)
+    def joined(n, p, q, cert):
         rng = random.Random(f"{n}:{p}:{q}")
         v = rng.choice(sorted(cert.overrides))
         c = cert.overrides[v]
-        deleted = {ids[p], ids[q]}
+        deleted = {chord_id(n, p), chord_id(n, q)}
         nbrs = sorted(w for w in g.adj[v] if cert.overrides.get(w) != c
                       and {v, w} != deleted)
         overrides = {**cert.overrides, rng.choice(nbrs): c}
         return dataclasses.replace(cert, overrides=overrides)
 
-    monkeypatch.setattr(criticality, "critical_coloring", joined)
+    change_certificates(monkeypatch, joined)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {False}
@@ -447,9 +496,8 @@ def test_row_colors_used_matches_certificate(n):
 
 def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):
     n = 7
-    ids = families.chord_index(n)
     g = gn(n)
-    extra = (ids[(1, 3)], ids[(1, 5)])
+    extra = (chord_id(n, (1, 3)), chord_id(n, (1, 5)))
     bad = build_graph(g.labels, [*g.edges(), extra], n_hint=n)
     monkeypatch.setattr(criticality, "gn", lambda n: bad)
     with pytest.raises(AssertionError, match="intersecting"):
@@ -466,7 +514,7 @@ def test_chord_list_built_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(families, "stable_subsets", counting)
     families.gn_chords.cache_clear()
-    families.chord_index.cache_clear()
+    families.chord_base.cache_clear()
     report = verify_edge_criticality(9)
     assert report.all_pass and len(report.rows) > 1
     assert calls == [(9, 2)]
@@ -484,10 +532,10 @@ def test_sweep_rejects_edge_between_disjoint_non_edge_chords(monkeypatch, pair):
     """A lateral or nested-through-1 pair joins disjoint chords but is no
     edge of gn(n): the sweep must stop rather than report a row for it."""
     n = 7
-    ids = families.chord_index(n)
     g = gn(n)
     p, q = pair
-    bad = build_graph(g.labels, [*g.edges(), (ids[p], ids[q])], n_hint=n)
+    bad = build_graph(g.labels, [*g.edges(), (chord_id(n, p), chord_id(n, q))],
+                      n_hint=n)
     monkeypatch.setattr(criticality, "gn", lambda n: bad)
     cls = classify_pair(p, q, n).value
     with pytest.raises(AssertionError, match=f"form a {cls} pair, not an edge"):

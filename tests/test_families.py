@@ -5,7 +5,6 @@ from chordcrit.families import (
     InvalidParametersError,
     PairClass,
     chord_base,
-    chord_index,
     chord_label,
     classify_pair,
     complete_pair,
@@ -186,13 +185,6 @@ def test_gn_is_spanning_subgraph_of_schrijver(n):
     assert all(sg.has_edge(e.u, e.v) for e in g.edges())
 
 
-def test_chord_index_matches_chord_order():
-    for n in range(4, 31):
-        chords = gn_chords(n)
-        assert isinstance(chords, tuple)
-        assert dict(chord_index(n)) == {p: i for i, p in enumerate(chords)}
-
-
 def test_chord_base_gives_every_chord_id():
     for n in range(4, 61):
         base = chord_base(n)
@@ -203,12 +195,6 @@ def test_chord_base_gives_every_chord_id():
 def test_chord_base_needs_four_points():
     with pytest.raises(InvalidParametersError):
         chord_base(3)
-
-
-def test_chord_index_is_read_only():
-    with pytest.raises(TypeError):
-        chord_index(6)[(1, 3)] = 5
-    assert chord_index(6)[(1, 3)] == 0
 
 
 @pytest.mark.parametrize("n", range(4, 11))
