@@ -195,8 +195,8 @@ def chord_base(n: int) -> tuple[int, ...]:
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
-    Each chord's partners (c, d) lie in the intervals that ``count_pairs``
-    counts.  For each c they form runs of consecutive chord ids, since
+    Each chord's partners (c, d) lie in intervals of the cycle fixed by
+    its endpoints.  For each c they form runs of consecutive chord ids, since
     (c, d) has id ``chord_base(n)[c] + d``, so each neighbour set is built
     once from its runs and no pair of chords is classified.  For chord
     (a, b):

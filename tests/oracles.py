@@ -120,6 +120,46 @@ def enumerate_census(n: int) -> dict[str, int]:
     return counts
 
 
+def nonadjacent_pairs(k: np.ndarray) -> np.ndarray:
+    """Ways to pick 2 non-adjacent points out of k consecutive ones: C(k-1, 2)."""
+    x = np.maximum(k - 1, 0)
+    return x * (x - 1) // 2
+
+
+def interval_census(n: int) -> dict[str, int]:
+    """The census of ``brute_census``, counted chord by chord.
+
+    Each pair is counted once, at its lexicographically smaller chord (a, b),
+    whose later partners (c, d) have c > a, or c = a and d > b.  With
+    ``inside = b-a-1`` points strictly between a and b and ``after = n-b``
+    points after b:
+    - crossing, a < c < b < d: inside * after;
+    - nested, a < c < d < b: 2 non-adjacent points inside, nested-through-1
+      when a = 1 and transverse otherwise;
+    - lateral, b < c < d: 2 non-adjacent points after b;
+    - intersecting: (a, d) with d > b, except (1, n); (b, d) with d >= b+2;
+      and (c, b) with a < c <= b-2.
+    O(n^2) numpy work over the chords, built here as the pairs b >= a+2 of
+    1..n other than (1, n), so that the oracle for large n shares no code
+    with the library.
+    """
+    a, b = np.triu_indices(n, 2)
+    keep = ~((a == 0) & (b == n - 1))
+    a, b = a[keep] + 1, b[keep] + 1
+    inside = b - a - 1
+    after = n - b
+    through_1 = a == 1
+    nested = nonadjacent_pairs(inside)
+    intersecting = (after - through_1) + np.maximum(after - 1, 0) + (inside - 1)
+    return {
+        "crossing": int((inside * after).sum()),
+        "transverse": int(nested[~through_1].sum()),
+        "lateral": int(nonadjacent_pairs(after).sum()),
+        "nested-through-1": int(nested[through_1].sum()),
+        "intersecting": int(intersecting.sum()),
+    }
+
+
 def brute_proper(g: Graph, coloring: dict[int, int]) -> bool:
     """Direct double loop: total and no monochromatic edge."""
     for v in range(g.n):

@@ -4,6 +4,8 @@ from chordcrit.cli import EXIT_OK, EXIT_PARAM, EXIT_TIMEOUT, EXIT_VERIFY_FAIL, _
 from chordcrit.criticality import verify_edge_criticality
 from chordcrit.graph import parse_graph
 
+from helpers import PINNED, sha256
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -146,6 +148,12 @@ def test_verify_ratio(capsys):
     assert lines[1] == "5 5 0 0 0 1 1"
     assert lines[2] == "6 15 1 1 1 8 9"
     assert lines[-1].startswith("final ratio ")
+
+
+def test_verify_ratio_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "ratio", "--n-max", "200")
+    assert code == EXIT_OK
+    assert sha256(out) == PINNED["verify_ratio"]["200"]
 
 
 def test_verify_vertex_critical(capsys):

@@ -18,7 +18,7 @@ from chordcrit.families import (
     stable_subsets,
 )
 from chordcrit.graph import EXPORT_FORMATS, build_graph, export_graph
-from chordcrit.pairs import _nonadjacent_pairs, chord_table, count_pairs
+from chordcrit.pairs import chord_table, count_pairs
 
 from helpers import PINNED, sha256
 
@@ -32,6 +32,7 @@ from oracles import (
     edge_list_mycielski,
     is_single_edge,
     is_triangle_free,
+    nonadjacent_pairs,
 )
 
 
@@ -155,14 +156,14 @@ def test_gn_edges_match_oracle(n):
 @pytest.mark.parametrize("n", range(4, 31))
 def test_gn_degrees_match_partner_intervals(n):
     """Chord (a, b) has the crossing and transverse partners that the
-    census's interval formulas count: after it in chord order, (b-a-1)(n-b)
+    chord-by-chord census oracle counts: after it in chord order, (b-a-1)(n-b)
     crossing and, when a > 1, C(b-a-2, 2) transverse; before it too, a
     crossing for each point inside times each point outside [a, b], and,
     when a > 1, a transverse (a', b') around it with 1 < a' < a, b' > b."""
     g = gn(n)
     a, b = chord_table(n)
     inside, after = b - a - 1, n - b
-    nested = np.where(a > 1, _nonadjacent_pairs(inside), 0)
+    nested = np.where(a > 1, nonadjacent_pairs(inside), 0)
     later = inside * after + nested
     assert [sum(w > v for w in g.adj[v]) for v in range(g.n)] == later.tolist()
     assert int(later.sum()) == count_pairs(n).gn_edges == g.edge_count

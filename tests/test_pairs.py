@@ -7,7 +7,13 @@ import pytest
 from chordcrit.families import InvalidParametersError, gn_chords
 from chordcrit.pairs import chord_table, count_pairs, edge_ratio
 
-from oracles import brute_census, brute_gn_edges, brute_sg2_edges, enumerate_census
+from oracles import (
+    brute_census,
+    brute_gn_edges,
+    brute_sg2_edges,
+    enumerate_census,
+    interval_census,
+)
 
 
 def _census_dict(c):
@@ -45,7 +51,11 @@ def test_crossing_count_is_binomial(n):
 
 @pytest.mark.parametrize("n", range(4, 61))
 def test_census_matches_vectorized_enumerator(n):
-    assert _census_dict(count_pairs(n)) == enumerate_census(n)
+    # Each class count is a polynomial of degree <= 4 in n (see count_pairs),
+    # so agreement at these 57 values proves the closed forms for every n.
+    expected = enumerate_census(n)
+    assert _census_dict(count_pairs(n)) == expected
+    assert interval_census(n) == expected
 
 
 def test_chord_table_matches_gn_chords():
@@ -58,14 +68,16 @@ def test_chord_table_matches_gn_chords():
 
 
 def test_census_closed_form_identities():
-    # Each identity follows from the class definitions, independently of both
-    # the per-chord count and the enumerators.
-    for n in range(5, 201):
-        c = count_pairs(n)
-        assert c.nested_through_1 == comb(n - 3, 3), n
-        assert c.lateral == comb(n - 2, 4), n
-        assert c.intersecting == n * comb(n - 3, 2), n
-        assert c.transverse == (
+    # Each identity follows from the class definitions.  The chord-by-chord
+    # oracle is checked against them, not the library's census, which is
+    # these formulas by construction.
+    for n in range(4, 201):
+        c = interval_census(n)
+        assert c["crossing"] == comb(n, 4), n
+        assert c["nested-through-1"] == comb(n - 3, 3), n
+        assert c["lateral"] == comb(n - 2, 4), n
+        assert c["intersecting"] == n * comb(n - 3, 2), n
+        assert c["transverse"] == (
             comb(n, 4) - comb(n - 1, 3) - comb(n - 3, 2) - comb(n - 3, 3)
         ), n
 
@@ -96,6 +108,13 @@ def test_invalid_parameters():
         chord_table(3)
     with pytest.raises(InvalidParametersError):
         edge_ratio(4)
+
+
+@pytest.mark.parametrize("n", [6.0, "7"])
+@pytest.mark.parametrize("f", [count_pairs, edge_ratio, chord_table])
+def test_non_integral_n_is_a_parameter_error(f, n):
+    with pytest.raises(InvalidParametersError):
+        f(n)
 
 
 def test_machine_row_format():
