@@ -22,23 +22,23 @@ kept when it is a stable chord, t - s > 1 and (s > 1 or t < n), and gets
 the vertex id ``chord_base(n)[s] + t``, the numbering ``gn`` uses.  The
 overrides of a batch are (row, chord, colour) triples.
 
-``verify_edge_criticality`` takes gn(n)'s edges in ``g.edges()`` order, a
-fixed-size chunk at a time (``_CHUNK``), so that the arrays stay bounded as
-n grows.  Each chunk gets one batch construction and one batch check
-(``_check``), which reads only A and the overrides, never the whole
-colouring:
+``verify_edge_criticality`` takes the edges of ``gn_adjacency(n)`` in
+``Graph.edges()`` order, a fixed-size chunk at a time (``_CHUNK``), so that
+the arrays stay bounded as n grows.  Each chunk gets one batch construction
+and one batch check (``_check``), which reads only A and the overrides,
+never the whole colouring:
 
 * total: every stable chord inside A is overridden, so the overridden
   chords inside A are as many as the stable pairs of A;
-* proper: edges of gn(n) join only disjoint chords (``select_case``
-  accepts only crossing and transverse pairs), so a class whose chords all
+* proper: edges of gn(n) join only disjoint chords (the case masks accept
+  only crossing and transverse pairs), so a class whose chords all
   contain its colour is independent, and every min-based class is one.
   Only the overridden chords that lack their colour need checking.  A
   fresh colour (> n) is in no chord, so only its class carries it, and the
-  class may hold one edge of gn(n), the deleted one; this is read off a
-  dense adjacency matrix built once per sweep from ``g.adj``.  An override
-  of another colour that its chord lacks is checked against all of its
-  neighbours, skipping the deleted edge;
+  class may hold one edge of gn(n), the deleted one; this is read off
+  ``gn_adjacency(n)``, built once per sweep.  An override of another
+  colour that its chord lacks is checked against all of its neighbours,
+  skipping the deleted edge;
 * colours used: counted from A, the fresh colours and the min-based
   colours the overrides displace (``_count_colors``);
 * the deleted edge's endpoints get one colour.
@@ -62,8 +62,11 @@ from .families import (
     Chord,
     InvalidParametersError,
     chord_base,
+    chord_label,
     classify_pair,
+    edge_pattern,
     gn,
+    gn_adjacency,
     gn_chords,
     validate_chord,
 )
@@ -99,16 +102,15 @@ class CaseSelection(NamedTuple):
 def select_case(n: int, p: Chord, q: Chord) -> CaseSelection:
     p = validate_chord(p, n)
     q = validate_chord(q, n)
-    # The two edge patterns; classify_pair names the class of a non-edge.
     (a, b), (c, d) = sorted((p, q))
-    if a < c < b:
-        if b < d:
-            if a == 1:
-                return CaseSelection(CriticalCase.CROSSING_WITH_1, a, b, c, d)
-            return CaseSelection(CriticalCase.CROSSING_WITHOUT_1, a, b, c, d)
-        if d < b and a > 1:
-            return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
-    cls = classify_pair(p, q, n)
+    crossing, transverse = edge_pattern(a, b, c, d)
+    if crossing and a == 1:
+        return CaseSelection(CriticalCase.CROSSING_WITH_1, a, b, c, d)
+    if crossing:
+        return CaseSelection(CriticalCase.CROSSING_WITHOUT_1, a, b, c, d)
+    if transverse:
+        return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
+    cls = classify_pair(p, q, n)  # names the class of a non-edge
     raise NotAnEdgeError(f"chords {p} and {q} form a {cls.value} pair, not an edge")
 
 
@@ -206,8 +208,7 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
     swap = (q[:, 0] < p[:, 0])[:, None]
     ab, cd = np.where(swap, q, p), np.where(swap, p, q)
     (a, b), (c, d) = ab.T, cd.T
-    crossing = (a < c) & (c < b) & (b < d)
-    transverse = (a < c) & (c < b) & (d < b) & (a > 1)
+    crossing, transverse = edge_pattern(a, b, c, d)
     if not np.all(crossing | transverse):
         r = int(np.argmin(crossing | transverse))
         select_case(n, tuple(p[r].tolist()), tuple(q[r].tolist()))  # raises
@@ -487,10 +488,10 @@ def _check(
     eu: np.ndarray,
     ev: np.ndarray,
     batch: _Batch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Proper, endpoints monochromatic and total, for the certificates of
-    the edges eu[r]-ev[r] of a graph on gn(n)'s chords with dense
-    adjacency ``adj``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Proper, endpoints monochromatic, total and colours used, for the
+    certificates of the edges eu[r]-ev[r] of a graph on gn(n)'s chords with
+    dense adjacency ``adj``."""
     rows = len(eu)
     row, chord, color = batch.row, batch.chord, batch.color
     inA = _membership(n, batch.A)
@@ -518,7 +519,8 @@ def _check(
     # A total certificate colours every chord.
     everyone = np.arange(rows)
     mono = total & (color_of(everyone, eu)[0] == color_of(everyone, ev)[0])
-    return proper, mono, total
+    used = _count_colors(n, inA, row, ends[chord, 0], ends[chord, 1], color)
+    return proper, mono, total, used
 
 
 def verify_edge_criticality(
@@ -528,22 +530,19 @@ def verify_edge_criticality(
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    The solver decides first, so that the sweep can drop gn(n)'s adjacency
-    sets.  Rows follow the edge order of the graph, and are built a chunk
+    The sweep reads ``gn_adjacency(n)`` and builds gn(n) only for the
+    solver.  Rows follow the edge order of the graph, and are built a chunk
     of edges at a time.  Raises AssertionError, and returns no report, if an
-    edge of gn(n) is not a crossing or transverse pair: such pairs are
-    disjoint, the premise of the class by class properness check.
+    edge of the adjacency is not a crossing or transverse pair: such pairs
+    are disjoint, the premise of the class by class properness check.
     """
-    g = gn(n)
     solver_status: str | None = None
     if use_solver:
-        solver_status = is_k_colorable(g, n - 3, cfg).status
-    labels = g.labels
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    for v, nbrs in enumerate(g.adj):
-        adj[v, list(nbrs)] = True
-    del g  # the sweep reads the dense adjacency alone
-    ends = np.array(gn_chords(n), dtype=np.int64)
+        solver_status = is_k_colorable(gn(n), n - 3, cfg).status
+    adj = gn_adjacency(n)
+    chords = gn_chords(n)
+    labels = [chord_label(p) for p in chords]
+    ends = np.array(chords, dtype=np.int64)
     # Row-major order of the upper triangle is the order of Graph.edges().
     eu, ev = np.nonzero(np.triu(adj, 1))
     names = [case.value for case in _CASES]
@@ -554,15 +553,7 @@ def verify_edge_criticality(
             batch = _certificate_batch(n, ends[u], ends[v])
         except NotAnEdgeError as exc:
             raise AssertionError(f"gn({n}): {exc}") from exc
-        proper, mono, total = _check(n, adj, ends, u, v, batch)
-        colors_used = _count_colors(
-            n,
-            _membership(n, batch.A),
-            batch.row,
-            ends[batch.chord, 0],
-            ends[batch.chord, 1],
-            batch.color,
-        )
+        proper, mono, total, colors_used = _check(n, adj, ends, u, v, batch)
         ok = total & proper & mono & (colors_used <= n - 3)
         rows += map(
             EdgeCertRow,

@@ -14,14 +14,19 @@ Families built here:
                          ``schrijver(n, 2)``);
 * ``mycielski(g)``, ``mycielski_iter(k)`` -- the classical clone-plus-apex
                          construction and its iterates starting from K_2.
+
+``edge_pattern`` states the edge rule of ``gn`` once; ``gn_adjacency`` (and
+through it ``gn``), ``classify_pair`` and the certificate code read it there.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Iterator
+from itertools import combinations
+from operator import index
+
+import numpy as np
 
 from .graph import Graph, build_graph
 
@@ -30,6 +35,27 @@ Chord = tuple[int, int]
 
 class InvalidParametersError(ValueError):
     """Family parameters outside the defined range (e.g. n < 2k)."""
+
+
+def _size(n: int, least: int, name: str = "n", need: str | None = None) -> int:
+    """n, the parameter ``name``, as an int of at least ``least``; ``need``
+    replaces the message for a smaller one."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidParametersError(
+            f"{name} must be an integer, got {name}={n!r}"
+        ) from None
+    if n < least:
+        raise InvalidParametersError(need or f"need {name} >= {least}, got {name}={n}")
+    return n
+
+
+def _subset_sizes(n: int, k: int) -> tuple[int, int]:
+    """n and k as ints, checked against n >= 2k >= 2."""
+    need = f"need n >= 2k >= 2, got n={n}, k={k}"
+    k = _size(k, 1, "k", need)
+    return _size(n, 2 * k, need=need), k
 
 
 class PairClass(Enum):
@@ -84,8 +110,7 @@ def stable_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     chosen elements, and between the first and last around the circle) is
     checked as each element is placed.
     """
-    if k < 1 or n < 2 * k:
-        raise InvalidParametersError(f"need n >= 2k >= 2, got n={n}, k={k}")
+    n, k = _subset_sizes(n, k)
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -109,31 +134,35 @@ def stable_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def edge_pattern(a, b, c, d):
+    """The masks (crossing, transverse) of chords (a, b) and (c, d), a <= c:
+    crossing is a < c < b < d, transverse 1 < a < c < d < b, and these two
+    are the edges of gn(n).  On ints they are bools; on numpy arrays that
+    broadcast together, boolean arrays.
+    """
+    crossing = (a < c) & (c < b) & (b < d)
+    transverse = (a > 1) & (a < c) & (d < b)
+    return crossing, transverse
+
+
 def classify_pair(p: Chord, q: Chord, n: int) -> PairClass:
     """Classify an unordered pair of distinct chords of the n-cycle.
 
-    After normalizing so the chord with the smaller first endpoint plays
-    (a, b): crossing is a < c < b < d; a nested pattern a < c < d < b is
-    transverse when a > 1 and nested-through-1 when a = 1; side-by-side
-    chords a < b < c < d are lateral.  Chords sharing an endpoint intersect.
+    Chords sharing an endpoint intersect; a disjoint pair is crossing or
+    transverse by ``edge_pattern``, and otherwise lateral or nested through 1.
     """
-    a1, b1 = validate_chord(p, n)
-    a2, b2 = validate_chord(q, n)
-    if (a1, b1) == (a2, b2):
+    p, q = validate_chord(p, n), validate_chord(q, n)
+    if p == q:
         raise InvalidParametersError("pair classification needs two distinct chords")
-    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+    if set(p) & set(q):
         return PairClass.INTERSECTING
-    if a1 < a2:
-        a, b, c, d = a1, b1, a2, b2
-    else:
-        a, b, c, d = a2, b2, a1, b1
-    if c > b:
-        return PairClass.LATERAL
-    if d > b:
+    (a, b), (c, d) = sorted((p, q))
+    crossing, transverse = edge_pattern(a, b, c, d)
+    if crossing:
         return PairClass.CROSSING
-    if a == 1:
-        return PairClass.NESTED_THROUGH_1
-    return PairClass.TRANSVERSE
+    if transverse:
+        return PairClass.TRANSVERSE
+    return PairClass.LATERAL if b < c else PairClass.NESTED_THROUGH_1
 
 
 def _disjointness_graph(n: int, verts: list[tuple[int, ...]]) -> Graph:
@@ -150,8 +179,7 @@ def _disjointness_graph(n: int, verts: list[tuple[int, ...]]) -> Graph:
 
 def kneser(n: int, k: int) -> Graph:
     """All k-subsets of [n]; edges join disjoint subsets."""
-    if k < 1 or n < 2 * k:
-        raise InvalidParametersError(f"need n >= 2k >= 2, got n={n}, k={k}")
+    n, k = _subset_sizes(n, k)
     return _disjointness_graph(n, list(combinations(range(1, n + 1), k)))
 
 
@@ -172,9 +200,7 @@ def gn_chords(n: int) -> tuple[Chord, ...]:
     This order fixes the vertex ids of gn(n) for every module; the tuple is
     shared by all callers while its n stays in the cache.
     """
-    if n < 4:
-        raise InvalidParametersError(f"need n >= 4, got n={n}")
-    return tuple(stable_subsets(n, 2))
+    return tuple(stable_subsets(_size(n, 4), 2))
 
 
 @lru_cache(maxsize=_CHORD_CACHE_SIZE)
@@ -186,42 +212,33 @@ def chord_base(n: int) -> tuple[int, ...]:
     ``base[s] = (s-1)(n-1) - s(s-1)/2 - [s > 1] - s - 2``.  Entry 0 is
     unused; no chord starts at n-1 or n.
     """
-    if n < 4:
-        raise InvalidParametersError(f"need n >= 4, got n={n}")
+    n = _size(n, 4)
     return (0, *((s - 1) * (n - 1) - s * (s - 1) // 2 - (s > 1) - s - 2
                  for s in range(1, n - 1)))
+
+
+def gn_adjacency(n: int) -> np.ndarray:
+    """Adjacency of gn(n) as a symmetric V x V boolean matrix, in the vertex
+    order of ``gn_chords(n)``.
+
+    ``edge_pattern`` is broadcast over all pairs, row chord (a, b) against
+    column chord (c, d).  Chords are in lexicographic order, so a < c holds
+    only above the diagonal: the rule fills the upper triangle, and the
+    lower one is its mirror.
+    """
+    a, b = np.array(gn_chords(n)).T
+    crossing, transverse = edge_pattern(a[:, None], b[:, None], a, b)
+    upper = crossing | transverse
+    return upper | upper.T
 
 
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
-    Each chord's partners (c, d) lie in intervals of the cycle fixed by
-    its endpoints.  For each c they form runs of consecutive chord ids, since
-    (c, d) has id ``chord_base(n)[c] + d``, so each neighbour set is built
-    once from its runs and no pair of chords is classified.  For chord
-    (a, b):
-
-    * c < a: crossing, a < d < b; and, when c > 1, transverse, b < d <= n;
-    * a < c < b: crossing, b < d <= n; and, when a > 1, transverse,
-      c+2 <= d < b.
-
-    ``classify_pair`` stays the pairwise definition; the tests check that
-    both give the same edges.
+    Each neighbour set is a row of ``gn_adjacency(n)``.
     """
     chords = gn_chords(n)
-    base = chord_base(n)
-
-    def runs(a: int, b: int) -> Iterator[range]:
-        for c in range(1, a):
-            yield range(base[c] + a + 1, base[c] + b)
-            if c > 1:
-                yield range(base[c] + b + 1, base[c] + n + 1)
-        for c in range(a + 1, min(b, n - 1)):
-            yield range(base[c] + b + 1, base[c] + n + 1)
-            if a > 1:
-                yield range(base[c] + c + 2, base[c] + b)
-
-    adj = tuple(frozenset(chain.from_iterable(runs(a, b))) for a, b in chords)
+    adj = tuple(frozenset(np.flatnonzero(row).tolist()) for row in gn_adjacency(n))
     return Graph(tuple(chord_label(p) for p in chords), adj, n)
 
 
@@ -269,8 +286,7 @@ def complete_pair() -> Graph:
 
 def mycielski_iter(k: int) -> Graph:
     """Apply the clone-plus-apex construction k-2 times starting from K_2."""
-    if k < 2:
-        raise InvalidParametersError(f"need k >= 2, got k={k}")
+    k = _size(k, 2, "k")
     g = complete_pair()
     for _ in range(k - 2):
         g = mycielski(g)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .families import (
     InvalidParametersError,
+    _size,
     chord_base,
     gn,
     gn_chords,
@@ -56,8 +57,7 @@ def verify_homomorphism(G: Graph, H: Graph, mapping: tuple[int, ...]) -> HomVerd
 
 def build_h(n: int) -> tuple[int, ...]:
     """The explicit map from the expansion of gn(n-1) into gn(n), by ids."""
-    if n < 5:
-        raise InvalidParametersError(f"need n >= 5, got n={n}")
+    n = _size(n, 5)
     chords = gn_chords(n - 1)
     base = chord_base(n)
     images = [base[a] + b for a, b in chords]
@@ -123,8 +123,7 @@ def lower_bound_chain(n: int, cfg: SolverConfig | None = None) -> LowerBoundRepo
     solver-checked, the increment for larger graphs is cited.  Each gn(m)
     is built once: the codomain of one level is the base of the next.
     """
-    if n < 5:
-        raise InvalidParametersError(f"need n >= 5, got n={n}")
+    n = _size(n, 5)
     cfg = cfg or SolverConfig()
     levels = []
     prev, g5 = gn(4), gn(5)

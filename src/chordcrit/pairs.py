@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import index
 
 import numpy as np
 
-from .families import InvalidParametersError
+from .families import _size
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,6 @@ class PairCounts:
             f"{self.n} {self.crossing} {self.transverse} {self.lateral} "
             f"{self.nested_through_1} {r.numerator} {r.denominator}"
         )
-
-
-def _size(n: int, least: int) -> int:
-    """n as an int, checked against its least value."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InvalidParametersError(f"n must be an integer, got n={n!r}") from None
-    if n < least:
-        raise InvalidParametersError(f"need n >= {least}, got n={n}")
-    return n
 
 
 def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -494,14 +494,29 @@ def test_row_colors_used_matches_certificate(n):
         assert row.colors_used == cert.colors_used, row.edge
 
 
+def adjacency_with(n, p, q):
+    """gn_adjacency(n) with the chords p and q joined as well."""
+    adj = families.gn_adjacency(n)
+    u, v = chord_id(n, p), chord_id(n, q)
+    adj[u, v] = adj[v, u] = True
+    return adj
+
+
 def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):
     n = 7
-    g = gn(n)
-    extra = (chord_id(n, (1, 3)), chord_id(n, (1, 5)))
-    bad = build_graph(g.labels, [*g.edges(), extra], n_hint=n)
-    monkeypatch.setattr(criticality, "gn", lambda n: bad)
+    bad = adjacency_with(n, (1, 3), (1, 5))
+    monkeypatch.setattr(criticality, "gn_adjacency", lambda n: bad)
     with pytest.raises(AssertionError, match="intersecting"):
         verify_edge_criticality(n)
+
+
+def test_sweep_builds_no_graph_without_solver(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the sweep built gn(n)")
+
+    expected = verify_edge_criticality(9).render()
+    monkeypatch.setattr(criticality, "gn", refuse)
+    assert verify_edge_criticality(9).render() == expected
 
 
 def test_chord_list_built_once_per_sweep(monkeypatch):
@@ -532,11 +547,9 @@ def test_sweep_rejects_edge_between_disjoint_non_edge_chords(monkeypatch, pair):
     """A lateral or nested-through-1 pair joins disjoint chords but is no
     edge of gn(n): the sweep must stop rather than report a row for it."""
     n = 7
-    g = gn(n)
     p, q = pair
-    bad = build_graph(g.labels, [*g.edges(), (chord_id(n, p), chord_id(n, q))],
-                      n_hint=n)
-    monkeypatch.setattr(criticality, "gn", lambda n: bad)
+    bad = adjacency_with(n, p, q)
+    monkeypatch.setattr(criticality, "gn_adjacency", lambda n: bad)
     cls = classify_pair(p, q, n).value
     with pytest.raises(AssertionError, match=f"form a {cls} pair, not an edge"):
         verify_edge_criticality(n)

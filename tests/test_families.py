@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chordcrit.criticality import verify_edge_criticality
 from chordcrit.families import (
     InvalidParametersError,
     PairClass,
@@ -8,7 +9,9 @@ from chordcrit.families import (
     chord_label,
     classify_pair,
     complete_pair,
+    edge_pattern,
     gn,
+    gn_adjacency,
     gn_chords,
     kneser,
     mycielski,
@@ -18,6 +21,7 @@ from chordcrit.families import (
     stable_subsets,
 )
 from chordcrit.graph import EXPORT_FORMATS, build_graph, export_graph
+from chordcrit.homomorphism import build_h, lower_bound_chain
 from chordcrit.pairs import chord_table, count_pairs
 
 from helpers import PINNED, sha256
@@ -145,6 +149,74 @@ def test_gn_small_cases():
 def test_gn_invalid():
     with pytest.raises(InvalidParametersError):
         gn(3)
+
+
+SIZED = {
+    "gn": gn,
+    "gn_chords": gn_chords,
+    "chord_base": chord_base,
+    "stable_subsets": lambda n: stable_subsets(n, 2),
+    "kneser": lambda n: kneser(n, 2),
+    "schrijver": lambda n: schrijver(n, 2),
+    "mycielski_iter": mycielski_iter,
+    "build_h": build_h,
+    "lower_bound_chain": lower_bound_chain,
+    "verify_edge_criticality": verify_edge_criticality,
+}
+
+
+@pytest.mark.parametrize("n", [6.0, "7"])
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_non_integral_n_is_a_parameter_error(name, n):
+    with pytest.raises(InvalidParametersError, match="must be an integer"):
+        SIZED[name](n)
+
+
+def test_messages_below_the_least_n():
+    cases = [
+        (lambda: gn(3), "need n >= 4, got n=3"),
+        (lambda: chord_base(3), "need n >= 4, got n=3"),
+        (lambda: stable_subsets(3, 2), "need n >= 2k >= 2, got n=3, k=2"),
+        (lambda: stable_subsets(5, 0), "need n >= 2k >= 2, got n=5, k=0"),
+        (lambda: kneser(3, 2), "need n >= 2k >= 2, got n=3, k=2"),
+        (lambda: schrijver(4, 3), "need n >= 2k >= 2, got n=4, k=3"),
+        (lambda: mycielski_iter(1), "need k >= 2, got k=1"),
+        (lambda: build_h(4), "need n >= 5, got n=4"),
+        (lambda: lower_bound_chain(4), "need n >= 5, got n=4"),
+        (lambda: verify_edge_criticality(3), "need n >= 4, got n=3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidParametersError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_edge_pattern_on_ints_and_arrays_matches_oracle(n):
+    chords = brute_chords(n)
+    a, b = np.array(chords).T
+    crossing, transverse = edge_pattern(a[:, None], b[:, None], a, b)
+    for i, p in enumerate(chords):
+        for j, q in enumerate(chords):
+            got = edge_pattern(*p, *q)
+            assert got == (crossing[i, j], transverse[i, j])
+            if i < j:
+                assert got == (
+                    brute_pair_class(p, q) == "crossing",
+                    brute_pair_class(p, q) == "transverse",
+                )
+            else:  # p does not start before q
+                assert got == (False, False)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_gn_adjacency_matches_oracle(n):
+    adj = gn_adjacency(n)
+    assert adj.dtype == bool and adj.shape == (len(gn_chords(n)),) * 2
+    assert (adj == adj.T).all()
+    assert not adj.diagonal().any()
+    u, v = np.nonzero(np.triu(adj))
+    assert set(zip(u.tolist(), v.tolist())) == brute_gn_edges(n)
 
 
 @pytest.mark.parametrize("n", range(4, 31))

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from chordcrit.families import InvalidParametersError, gn_chords
+from chordcrit.families import InvalidParametersError, edge_pattern, gn_chords
 from chordcrit.pairs import chord_table, count_pairs, edge_ratio
 
 from oracles import (
@@ -46,7 +46,13 @@ def test_census_matches_enumeration_oracle(n):
 
 @pytest.mark.parametrize("n", range(4, 61))
 def test_crossing_count_is_binomial(n):
-    assert count_pairs(n).crossing == comb(n, 4)
+    """The library's edge rule, over every pair of chords, makes C(n,4)
+    crossing and C(n-2,4) transverse pairs, the closed forms the census
+    states."""
+    a, b = np.array(gn_chords(n)).T
+    crossing, transverse = edge_pattern(a[:, None], b[:, None], a, b)
+    assert crossing.sum() == comb(n, 4)
+    assert transverse.sum() == comb(n - 2, 4)
 
 
 @pytest.mark.parametrize("n", range(4, 61))
