@@ -17,10 +17,10 @@ Certificates are built and checked in batches of edges, with numpy.
 ``_certificate_batch`` takes the chord endpoint arrays of the edges: case
 masks give each row its case, A is the case's template over the row's
 named elements 1, a, b, c, d and x = c+1, and the overrides come from the
-case's fixed fresh-class pairs over the columns of A.  A pair (s, t) is
-kept when it is a stable chord, t - s > 1 and (s > 1 or t < n), and gets
-the vertex id ``chord_base(n)[s] + t``, the numbering ``gn`` uses.  The
-overrides of a batch are (row, chord, colour) triples.
+case's fixed fresh-class pairs over the columns of A.  The pairs (s, t)
+that ``is_stable_pair`` accepts are kept, with vertex id
+``chord_base(n)[s] + t``, the numbering ``gn`` uses.  The overrides of a
+batch are (row, chord, colour) triples.
 
 ``verify_edge_criticality`` takes the edges of ``gn_adjacency(n)`` in
 ``Graph.edges()`` order, a fixed-size chunk at a time (``_CHUNK``), so that
@@ -68,6 +68,7 @@ from .families import (
     gn,
     gn_adjacency,
     gn_chords,
+    is_stable_pair,
     validate_chord,
 )
 from .graph import Coloring, Graph, delete_vertex
@@ -225,7 +226,7 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
         Ak = named[mine][:, t.columns]
         A[mine, : len(t.columns)] = Ak
         lo, hi = Ak[:, t.first], Ak[:, t.second]
-        r, i = np.nonzero((hi - lo > 1) & ((lo > 1) | (hi < n)))  # stable
+        r, i = np.nonzero(is_stable_pair(lo, hi, n))
         rows.append(mine[r])
         chords.append(base[lo[r, i]] + hi[r, i])
         colors.append(t.color[i] + n)
@@ -262,20 +263,13 @@ def _min_colors(
     return np.where(lo_in, hi, lo), ~(lo_in & hi_in)
 
 
-def _group(row: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the (row, value) pairs, and which pairs in that
-    order differ from the one before."""
+def _distinct(row: np.ndarray, value: np.ndarray, rows: int) -> np.ndarray:
+    """The number of distinct values in each of the rows."""
     order = np.lexsort((value, row))
     row, value = row[order], value[order]
     new = np.ones(len(row), dtype=bool)
     new[1:] = (row[1:] != row[:-1]) | (value[1:] != value[:-1])
-    return order, new
-
-
-def _distinct(row: np.ndarray, value: np.ndarray, rows: int) -> np.ndarray:
-    """The number of distinct values in each of the rows."""
-    order, new = _group(row, value)
-    return np.bincount(row[order][new], minlength=rows)
+    return np.bincount(row[new], minlength=rows)
 
 
 def _count_colors(
@@ -460,24 +454,20 @@ def _fresh_classes_ok(
     n: int, adj: np.ndarray, eu: np.ndarray, ev: np.ndarray, batch: _Batch
 ) -> np.ndarray:
     """Whether each row's fresh classes (colours > n) hold no edge of adj
-    but the deleted one, eu[r]-ev[r]."""
-    fresh = batch.color > n
-    order, new = _group(batch.row[fresh], batch.color[fresh])
-    row, chord = batch.row[fresh][order], batch.chord[fresh][order]
-    group = np.cumsum(new) - 1
-    first = np.flatnonzero(new)
-    place = np.arange(len(row)) - first[group]
-    # One class per row of members, padded with -1 at the end.
-    members = np.full((len(first), place.max(initial=-1) + 1), -1, dtype=np.int32)
-    members[group, place] = chord
-    i, j = np.triu_indices(members.shape[1], 1)
-    inner = (adj[members[:, i], members[:, j]] & (members[:, j] >= 0)).sum(axis=1)
-    owner = row[first]
-    deleted_inside = (members == eu[owner, None]).any(axis=1) & (
-        members == ev[owner, None]
-    ).any(axis=1)
+    but the deleted one, eu[r]-ev[r].  Sorted by (row, colour), a class is a
+    run, and its pairs are the entries j = 1, 2, ... apart inside it; once a
+    j pairs nothing, no run is longer than j."""
+    fresh = np.flatnonzero(batch.color > n)
+    fresh = fresh[np.lexsort((batch.color[fresh], batch.row[fresh]))]
+    row, color, chord = batch.row[fresh], batch.color[fresh], batch.chord[fresh]
     ok = np.ones(len(eu), dtype=bool)
-    ok[owner[inner > deleted_inside]] = False
+    for j in range(1, len(row)):
+        same = (row[j:] == row[:-j]) & (color[j:] == color[:-j])
+        if not same.any():
+            break
+        r, u, v = row[j:][same], chord[:-j][same], chord[j:][same]
+        deleted = ((u == eu[r]) & (v == ev[r])) | ((u == ev[r]) & (v == eu[r]))
+        ok[r[adj[u, v] & ~deleted]] = False
     return ok
 
 

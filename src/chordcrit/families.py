@@ -15,8 +15,11 @@ Families built here:
 * ``mycielski(g)``, ``mycielski_iter(k)`` -- the classical clone-plus-apex
                          construction and its iterates starting from K_2.
 
-``edge_pattern`` states the edge rule of ``gn`` once; ``gn_adjacency`` (and
-through it ``gn``), ``classify_pair`` and the certificate code read it there.
+``stable_subsets`` is the one enumeration of stable subsets (``gn_chords``
+is its k = 2 list), and ``is_stable_pair`` states the chord rule once, for
+``validate_chord`` and the certificate code.  ``edge_pattern`` states the
+edge rule of ``gn`` once, for ``gn_adjacency`` (and through it ``gn``),
+``classify_pair`` and the certificate code.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ class PairClass(Enum):
     INTERSECTING = "intersecting"
 
 
-def is_stable_pair(a: int, b: int, n: int) -> bool:
-    """True when {a, b} is a chord of the n-cycle: a < b, b-a >= 2, not {1, n}."""
-    return 1 <= a < b <= n and b - a >= 2 and not (a == 1 and b == n)
+def is_stable_pair(a, b, n):
+    """Whether {a, b} is a chord of the n-cycle: 1 <= a, b-a >= 2, b <= n and
+    not {1, n}.  A bool on ints, a boolean array on numpy arrays."""
+    return (1 <= a) & (b - a >= 2) & (b <= n) & ((a > 1) | (b < n))
 
 
 def validate_chord(p: Chord, n: int) -> Chord:
@@ -78,10 +82,10 @@ def validate_chord(p: Chord, n: int) -> Chord:
     return a, b
 
 
-def chord_label(p: Chord) -> str:
-    """Label for a chord: '26' for single-digit endpoints, '2-13' otherwise."""
-    a, b = p
-    return f"{a}{b}" if b < 10 else f"{a}-{b}"
+def chord_label(elems: tuple[int, ...]) -> str:
+    """Label for a chord, or any increasing tuple of elements: '26' or '135'
+    when every element is a single digit, '2-13' otherwise."""
+    return ("" if elems[-1] < 10 else "-").join(map(str, elems))
 
 
 def parse_chord(text: str, n: int) -> Chord:
@@ -97,41 +101,19 @@ def parse_chord(text: str, n: int) -> Chord:
     return validate_chord(p, n)
 
 
-def subset_label(elems: tuple[int, ...]) -> str:
-    if elems[-1] < 10:
-        return "".join(str(e) for e in elems)
-    return "-".join(str(e) for e in elems)
-
-
 def stable_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All stable k-subsets of [n] in lexicographic order.
 
-    Backtracking over increasing elements; the gap constraint (>= 2 between
-    chosen elements, and between the first and last around the circle) is
-    checked as each element is placed.
+    Adding i to the i-th element (from 0) of each k-subset of [n-k+1] gives
+    every k-subset of [n] with gaps >= 2 exactly once (subtracting i undoes
+    it), in lexicographic order; the stable ones are those without both 1
+    and n.  The shift runs a column at a time, so that the loop over the
+    subsets stays in C.
     """
     n, k = _subset_sizes(n, k)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        if len(chosen) == k:
-            out.append(tuple(chosen))
-            return
-        rest_after = k - len(chosen) - 1
-        for x in range(start, n + 1):
-            # Subsets starting at 1 must stop at n-1 (1 and n are consecutive
-            # around the circle); each later element needs a gap of 2.
-            first = chosen[0] if chosen else x
-            last_limit = n - 1 if first == 1 else n
-            if x + 2 * rest_after > last_limit:
-                continue
-            chosen.append(x)
-            extend(x + 2)
-            chosen.pop()
-
-    extend(1)
-    return out
+    columns = zip(*combinations(range(1, n - k + 2), k))
+    shifted = zip(*(map(i.__add__, col) for i, col in enumerate(columns)))
+    return [s for s in shifted if s[0] > 1 or s[-1] < n]
 
 
 def edge_pattern(a, b, c, d):
@@ -174,7 +156,7 @@ def _disjointness_graph(n: int, verts: list[tuple[int, ...]]) -> Graph:
         for j in range(i + 1, len(verts))
         if not sets[i] & sets[j]
     ]
-    return build_graph([subset_label(v) for v in verts], edges, n_hint=n)
+    return build_graph([chord_label(v) for v in verts], edges, n_hint=n)
 
 
 def kneser(n: int, k: int) -> Graph:

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .families import _size
+from .families import _size, gn_chords
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,9 @@ class PairCounts:
 
 
 def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of all chords of the n-cycle, in vertex (lexicographic) order.
-
-    Chord (a, b) runs over a = 1..n-2 and b = a+2..last(a), where
-    last(1) = n-1 (1 and n are adjacent) and last(a) = n otherwise; the
-    arrays are built group by group of equal a, without listing tuples.
-    """
-    n = _size(n, 4)
-    a = np.arange(1, n - 1, dtype=np.int64)
-    last = np.full_like(a, n)
-    last[0] = n - 1
-    counts = last - a - 1
-    lo = np.repeat(a, counts)
-    starts = np.cumsum(counts) - counts
-    # Position of each chord within its group of equal a.
-    offset = np.arange(lo.shape[0], dtype=np.int64) - np.repeat(starts, counts)
-    hi = lo + 2 + offset
+    """Endpoints of all chords of the n-cycle, in vertex (lexicographic)
+    order: the two columns of ``gn_chords(n)``, as int64 arrays."""
+    lo, hi = np.array(gn_chords(n), dtype=np.int64).T
     return lo, hi
 
 

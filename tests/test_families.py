@@ -13,6 +13,7 @@ from chordcrit.families import (
     gn,
     gn_adjacency,
     gn_chords,
+    is_stable_pair,
     kneser,
     mycielski,
     mycielski_iter,
@@ -63,7 +64,9 @@ def test_stable_pairs_count_formula(n):
     assert subsets == brute_stable_ksubsets(n, 2)
 
 
-@pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (9, 4), (8, 2)])
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(2, 15) for k in range(1, n // 2 + 1)]
+)
 def test_stable_subsets_match_oracle_general_k(n, k):
     assert stable_subsets(n, k) == brute_stable_ksubsets(n, k)
 
@@ -209,6 +212,19 @@ def test_edge_pattern_on_ints_and_arrays_matches_oracle(n):
                 assert got == (False, False)
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_is_stable_pair_on_ints_and_arrays_matches_oracle(n):
+    chords = set(brute_chords(n))
+    ends = np.arange(-1, n + 3)
+    mask = is_stable_pair(ends[:, None], ends, n)
+    assert mask.dtype == bool and mask.shape == (len(ends),) * 2
+    for i, a in enumerate(ends.tolist()):
+        for j, b in enumerate(ends.tolist()):
+            got = is_stable_pair(a, b, n)
+            assert type(got) is bool
+            assert got == mask[i, j] == ((a, b) in chords), (a, b)
+
+
 @pytest.mark.parametrize("n", range(4, 31))
 def test_gn_adjacency_matches_oracle(n):
     adj = gn_adjacency(n)
@@ -281,6 +297,8 @@ def test_gn_edges_join_disjoint_chords(n):
 def test_chord_labels():
     assert chord_label((2, 6)) == "26"
     assert chord_label((2, 13)) == "2-13"
+    assert chord_label((1, 3, 5)) == "135"
+    assert chord_label((2, 5, 11)) == "2-5-11"
     assert parse_chord("26", 8) == (2, 6)
     assert parse_chord("2-13", 15) == (2, 13)
     with pytest.raises(InvalidParametersError):

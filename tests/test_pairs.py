@@ -9,6 +9,7 @@ from chordcrit.pairs import chord_table, count_pairs, edge_ratio
 
 from oracles import (
     brute_census,
+    brute_chords,
     brute_gn_edges,
     brute_sg2_edges,
     enumerate_census,
@@ -64,10 +65,10 @@ def test_census_matches_vectorized_enumerator(n):
     assert interval_census(n) == expected
 
 
-def test_chord_table_matches_gn_chords():
+def test_chord_table_matches_oracle():
     for n in [*range(4, 81), 200]:
         lo, hi = chord_table(n)
-        chords = np.array(gn_chords(n), dtype=np.int64)
+        chords = np.array(brute_chords(n), dtype=np.int64)
         assert lo.dtype == hi.dtype == np.int64
         np.testing.assert_array_equal(lo, chords[:, 0], err_msg=str(n))
         np.testing.assert_array_equal(hi, chords[:, 1], err_msg=str(n))
