@@ -15,33 +15,32 @@ read.
 
 Certificates are built and checked in batches of edges, with numpy.
 ``_certificate_batch`` takes the chord endpoint arrays of the edges: case
-masks give each row its case, A is the case's template over the row's
-named elements 1, a, b, c, d and x = c+1, and the overrides come from the
-case's fixed fresh-class pairs over the columns of A.  The pairs (s, t)
-that ``is_stable_pair`` accepts are kept, with vertex id
-``chord_base(n)[s] + t``, the numbering ``gn`` uses.  The overrides of a
-batch are (row, chord, colour) triples.
+masks give each row its case, whose template, a table row, names A and
+the fresh-class pairs among the row's elements 1, a, b, c, d and
+x = c+1.  The pairs (s, t) that ``is_stable_pair`` accepts are kept, with
+vertex id ``chord_base(n)[s] + t``, the numbering ``gn`` uses, as
+(row, chord, colour) triples.
 
-``verify_edge_criticality`` takes the edges of ``gn_adjacency(n)`` in
-``Graph.edges()`` order, a fixed-size chunk at a time (``_CHUNK``), so that
-the arrays stay bounded as n grows.  Each chunk gets one batch construction
-and one batch check (``_check``), which reads only A and the overrides,
-never the whole colouring:
+``verify_edge_criticality`` takes the edges of gn(n) in ``Graph.edges()``
+order, a fixed-size chunk at a time (``_CHUNK``), so that the arrays stay
+bounded as n grows.  Each chunk gets one batch construction and one batch
+check (``_check``), which reads only A and the overrides, never the whole
+colouring.  The check sorts the overrides once, by (row, colour), so that
+each colour class of a row is a run, and reads off that order:
 
-* total: every stable chord inside A is overridden, so the overridden
-  chords inside A are as many as the stable pairs of A;
+* total: the overridden chords inside A are as many as the stable pairs
+  of A;
 * proper: edges of gn(n) join only disjoint chords (the case masks accept
   only crossing and transverse pairs), so a class whose chords all
   contain its colour is independent, and every min-based class is one.
-  Only the overridden chords that lack their colour need checking.  A
-  fresh colour (> n) is in no chord, so only its class carries it, and the
-  class may hold one edge of gn(n), the deleted one; this is read off
-  ``gn_adjacency(n)``, built once per sweep.  An override of another
-  colour that its chord lacks is checked against all of its neighbours,
-  skipping the deleted edge;
-* colours used: counted from A, the fresh colours and the min-based
-  colours the overrides displace (``_count_colors``);
-* the deleted edge's endpoints get one colour.
+  No run may hold an edge but the deleted one; a fresh colour (> n) is in
+  no chord, so its run is its class.  An override of another colour that
+  its chord lacks is checked against all of its neighbours, skipping the
+  deleted edge, by a (row, chord) lookup built only for such overrides;
+* the deleted edge's ends, each matched against its row's overrides or
+  else min-based, get one colour;
+* colours used: the elements outside A that still colour a chord, and one
+  per run of any other colour (``_count_colors``).
 
 ``critical_coloring`` and ``CertificateColoring.colors_used`` are one-row
 views of the same construction and counting code.
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -61,12 +60,12 @@ import numpy as np
 from .families import (
     Chord,
     InvalidParametersError,
+    _upper_adjacency,
     chord_base,
     chord_label,
     classify_pair,
     edge_pattern,
     gn,
-    gn_adjacency,
     gn_chords,
     is_stable_pair,
     validate_chord,
@@ -158,28 +157,28 @@ _TEMPLATES = {
         "1acxdb", ("1a 1x 1d ax xd", "1b 1c cb xb cx", "ab ac ad cd db")
     ),
 }
-_NAMES = "1abcdx"  # the columns a row's named elements are stacked in
+_NAMES = "1abcdx0"  # the columns a row's named elements are stacked in
 
 
-class _CaseTemplate(NamedTuple):
-    columns: list[int]  # A's elements, as columns of _NAMES
-    first: np.ndarray  # each fresh-class pair, as two positions in A
-    second: np.ndarray
-    color: np.ndarray  # its colour, less n
+def _compile(anchor: str, classes: tuple[str, ...]) -> list[list[int]]:
+    """A case's template as columns of _NAMES: A, padded to 6 with the zero
+    column; each fresh-class pair, padded to 15 with (0, 0), no chord; and
+    each pair's colour less n."""
+    pairs = [pair for cls in classes for pair in cls.split()] + ["00"] * 15
+    colors = [k for k, cls in enumerate(classes, 1) for _ in cls.split()]
+    return [
+        [_NAMES.index(s) for s in anchor.ljust(6, "0")],
+        [_NAMES.index(s) for s, _ in pairs[:15]],
+        [_NAMES.index(t) for _, t in pairs[:15]],
+        (colors + [0] * 15)[:15],
+    ]
 
 
-def _compile(anchor: str, classes: tuple[str, ...]) -> _CaseTemplate:
-    pairs = [(pair, k) for k, cls in enumerate(classes, 1) for pair in cls.split()]
-    return _CaseTemplate(
-        [_NAMES.index(name) for name in anchor],
-        np.array([anchor.index(s) for (s, _), _ in pairs]),
-        np.array([anchor.index(t) for (_, t), _ in pairs]),
-        np.array([k for _, k in pairs]),
-    )
-
-
-_CASE_TEMPLATES = tuple(_compile(*_TEMPLATES[case]) for case in _CASES)
-_A_WIDTH = max(len(t.columns) for t in _CASE_TEMPLATES)  # smaller A: 0-padded
+# The templates as tables indexed by case code; the pairs of A's columns.
+_A_COLUMNS, _FIRST, _SECOND, _COLOR = map(
+    np.array, zip(*(_compile(*_TEMPLATES[case]) for case in _CASES))
+)
+_A_PAIRS = np.array([(s, t) for t in range(6) for s in range(t)]).T
 
 
 class _Batch(NamedTuple):
@@ -214,24 +213,19 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
         r = int(np.argmin(crossing | transverse))
         select_case(n, tuple(p[r].tolist()), tuple(q[r].tolist()))  # raises
     case = np.where(crossing, np.where(a == 1, 0, 1), 2)  # codes into _CASES
-    # The named elements, in the columns of _NAMES: 1, a, b, c, d, x = c+1.
-    named = np.concatenate([np.ones_like(ab[:, :1]), ab, cd, cd[:, :1] + 1], axis=1)
-    base = np.asarray(chord_base(n))
-    A = np.zeros((len(case), _A_WIDTH), dtype=np.int64)
-    rows, chords, colors = [], [], []
-    for k, t in enumerate(_CASE_TEMPLATES):
-        mine = np.flatnonzero(case == k)
-        if not len(mine):
-            continue
-        Ak = named[mine][:, t.columns]
-        A[mine, : len(t.columns)] = Ak
-        lo, hi = Ak[:, t.first], Ak[:, t.second]
-        r, i = np.nonzero(is_stable_pair(lo, hi, n))
-        rows.append(mine[r])
-        chords.append(base[lo[r, i]] + hi[r, i])
-        colors.append(t.color[i] + n)
+    # The named elements, in the columns of _NAMES: 1, a, b, c, d, x = c+1, 0.
+    ones = np.ones_like(ab[:, :1])
+    named = np.concatenate([ones, ab, cd, cd[:, :1] + 1, 0 * ones], axis=1)
+    at = np.arange(len(case))[:, None] * named.shape[1]
+    A, lo, hi = (
+        named.take(at + t.take(case, axis=0)) for t in (_A_COLUMNS, _FIRST, _SECOND)
+    )
+    k = np.flatnonzero(is_stable_pair(lo, hi, n))
+    row = k // lo.shape[1]
+    chord = np.take(chord_base(n), lo.take(k)) + hi.take(k)
+    color = _COLOR.take(case, axis=0).take(k) + n
     x = np.where(case == 2, c + 1, 0)
-    return _Batch(case, x, A, *map(np.concatenate, (rows, chords, colors)))
+    return _Batch(case, x, A, row, chord, color)
 
 
 def _row_certificate(n: int, batch: _Batch, r: int) -> CertificateColoring:
@@ -249,7 +243,7 @@ def _row_certificate(n: int, batch: _Batch, r: int) -> CertificateColoring:
 def _membership(n: int, A: np.ndarray) -> np.ndarray:
     """(R, n+1) booleans: entry [r, e] tells whether e is in A[r]."""
     inA = np.zeros((len(A), n + 1), dtype=bool)
-    inA[np.arange(len(A))[:, None], A] = True
+    np.put(inA, np.arange(len(A))[:, None] * (n + 1) + A, True)
     inA[:, 0] = False  # the padding
     return inA
 
@@ -259,63 +253,71 @@ def _min_colors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """min({lo, hi} \\ A[row]) for chords (lo, hi), and whether it exists
     (it does not for a chord inside A)."""
-    lo_in, hi_in = inA[row, lo], inA[row, hi]
+    at = row * inA.shape[1]
+    lo_in, hi_in = inA.take(at + lo), inA.take(at + hi)
     return np.where(lo_in, hi, lo), ~(lo_in & hi_in)
 
 
-def _distinct(row: np.ndarray, value: np.ndarray, rows: int) -> np.ndarray:
-    """The number of distinct values in each of the rows."""
-    order = np.lexsort((value, row))
-    row, value = row[order], value[order]
-    new = np.ones(len(row), dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (value[1:] != value[:-1])
-    return np.bincount(row[new], minlength=rows)
+class _Overrides(NamedTuple):
+    """Overrides sorted by (row, colour): each colour class of a row is a
+    run, begun where ``start`` is set.  Chord ``chord[i]`` = (lo[i], hi[i])
+    has colour ``color[i]`` in row ``row[i]``; ``own[i]`` is its min-based
+    colour, which it has when ``outside[i]``, not inside A."""
+
+    row: np.ndarray
+    chord: np.ndarray
+    color: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    own: np.ndarray
+    outside: np.ndarray
 
 
-def _count_colors(
-    n: int,
-    inA: np.ndarray,
-    row: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+def _sorted_overrides(
+    inA: np.ndarray, ends: np.ndarray, row: np.ndarray, chord: np.ndarray,
     color: np.ndarray,
-) -> np.ndarray:
+) -> _Overrides:
+    """The overrides (row, chord, colour), sorted, of rows with
+    ``_membership`` inA; chord v is (ends[v, 0], ends[v, 1])."""
+    least, most = int(color.min(initial=0)), int(color.max(initial=0))
+    span = most - least + 1
+    if span * len(inA) >= 1 << 63:
+        raise InvalidParametersError("override colours too far apart to sort")
+    # Stable is timsort: linear on the construction's runs.
+    order = np.argsort(row * span + (color - least), kind="stable")
+    row, chord, color = row[order], chord[order], color[order]
+    lo, hi = ends.take(chord, axis=0).T
+    start = np.ones(len(row), dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (color[1:] != color[:-1])
+    return _Overrides(row, chord, color, lo, hi, start, *_min_colors(inA, row, lo, hi))
+
+
+def _count_colors(n: int, inA: np.ndarray, ov: _Overrides) -> np.ndarray:
     """Distinct colours of each certificate, from A and the overrides alone.
 
-    ``inA`` is ``_membership`` of the rows' anchor sets, and override i
-    gives chord (lo[i], hi[i]) the colour color[i] in row row[i].
-    Every element e outside A is the min-based colour of some chord when
-    e <= n-2, since (e, e+2) is one; so e colours nothing only when it is
-    n-1 or n, or when all the chords it would colour are overridden.  The
-    chords it would colour are (e, y) for every y >= e+2, and (x, e) for
-    every x in A with x <= e-2, except (1, n).  Each fresh colour is a
-    colour; an override colour c <= n adds one unless it is already counted
-    as an element outside A that still colours a chord.
+    ``inA`` is ``_membership`` of the rows' anchor sets.  An element e
+    outside A is a colour while a chord it is the min-based colour of is not
+    overridden: (e, y) for every y >= e+2, or (x, e) for every x in A with
+    x <= e-2, except (1, n).  Each run of ``ov`` adds a colour, unless it is
+    of such an element.
     """
     rows, width = inA.shape
-    e, outside = _min_colors(inA, row, lo, hi)
-    displaced = np.bincount(
-        row[outside] * width + e[outside], minlength=rows * width
-    ).reshape(rows, width)
-    held = np.cumsum(inA, axis=1)  # [r, k]: the elements of A[r] up to k
+    mine = ov.row[ov.outside] * width + ov.own[ov.outside]
+    displaced = np.bincount(mine, minlength=rows * width).reshape(rows, width)
     size = np.zeros((rows, width), dtype=np.int64)
-    size[:, 2:] = held[:, : n - 1]
+    size[:, 2:] = np.cumsum(inA, axis=1)[:, : n - 1]  # (x, e), x in A
     size[:, n] -= inA[:, 1]
     elems = np.arange(width)
     size += np.maximum(np.where(elems == 1, n - 1, n) - elems - 1, 0)
-    candidate = displaced > 0
-    candidate[:, n - 1 :] = True
-    unused = candidate & ~inA & (size == displaced)
-    fresh = color > n
-    low_row, low = row[~fresh], color[~fresh]
-    at = np.clip(low, 0, n)
-    extra = (low < 1) | inA[low_row, at] | unused[low_row, at]
+    still = ~inA & (size > displaced)
+    still[:, 0] = False
+    low = ov.start & (ov.color <= n)
+    at = ov.row[low] * width + np.clip(ov.color[low], 0, n)
     return (
-        n
-        - inA.sum(axis=1)
-        - unused.sum(axis=1)
-        + _distinct(row[fresh], color[fresh], rows)
-        + _distinct(low_row[extra], low[extra], rows)
+        still.sum(axis=1)
+        + np.bincount(ov.row[ov.start], minlength=rows)
+        - np.bincount(ov.row[low][still.take(at)], minlength=rows)
     )
 
 
@@ -349,13 +351,14 @@ class CertificateColoring:
         """Distinct colours, counted from A and the overrides alone."""
         chords = gn_chords(self.n)
         ends = np.array([chords[v] for v in self.overrides], dtype=np.int64)
-        counts = _count_colors(
-            self.n,
-            _membership(self.n, np.array([self.A], dtype=np.int64)),
+        inA = _membership(self.n, np.array([self.A], dtype=np.int64))
+        counts = _count_colors(self.n, inA, _sorted_overrides(
+            inA,
+            ends.reshape(-1, 2),
             np.zeros(len(ends), dtype=np.int64),
-            *ends.reshape(-1, 2).T,
+            np.arange(len(ends)),
             np.fromiter(self.overrides.values(), dtype=np.int64, count=len(ends)),
-        )
+        ))
         return int(counts[0])
 
 
@@ -432,43 +435,15 @@ class EdgeCriticalityReport:
 _CHUNK = 1024
 
 
-def _color_lookup(inA: np.ndarray, ends: np.ndarray, m: int, batch: _Batch):
-    """A function (r, v) -> the colour of chord v in row r of a batch over
-    m chords, and whether it has one: its override if it has one, else
-    min(v \\ A), which a chord inside A lacks."""
-    keys = batch.row * m + batch.chord
-    order = np.argsort(keys)
-    keys = np.append(keys[order], len(inA) * m)  # a key no query has
-    by_key = np.append(batch.color[order], 0)
-
-    def color_of(r: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = np.searchsorted(keys, r * m + v)
-        over = keys[at] == r * m + v
-        own, has = _min_colors(inA, r, ends[v, 0], ends[v, 1])
-        return np.where(over, by_key[at], own), over | has
-
-    return color_of
-
-
-def _fresh_classes_ok(
-    n: int, adj: np.ndarray, eu: np.ndarray, ev: np.ndarray, batch: _Batch
-) -> np.ndarray:
-    """Whether each row's fresh classes (colours > n) hold no edge of adj
-    but the deleted one, eu[r]-ev[r].  Sorted by (row, colour), a class is a
-    run, and its pairs are the entries j = 1, 2, ... apart inside it; once a
-    j pairs nothing, no run is longer than j."""
-    fresh = np.flatnonzero(batch.color > n)
-    fresh = fresh[np.lexsort((batch.color[fresh], batch.row[fresh]))]
-    row, color, chord = batch.row[fresh], batch.color[fresh], batch.chord[fresh]
-    ok = np.ones(len(eu), dtype=bool)
-    for j in range(1, len(row)):
-        same = (row[j:] == row[:-j]) & (color[j:] == color[:-j])
-        if not same.any():
-            break
-        r, u, v = row[j:][same], chord[:-j][same], chord[j:][same]
-        deleted = ((u == eu[r]) & (v == ev[r])) | ((u == ev[r]) & (v == eu[r]))
-        ok[r[adj[u, v] & ~deleted]] = False
-    return ok
+def _run_pairs(start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of entries in one run; start marks the
+    first entry of each run."""
+    size = len(start)
+    bounds = np.append(np.flatnonzero(start), size)
+    later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(size) - 1
+    i = np.repeat(np.arange(size), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return i, j
 
 
 def _check(
@@ -482,35 +457,48 @@ def _check(
     """Proper, endpoints monochromatic, total and colours used, for the
     certificates of the edges eu[r]-ev[r] of a graph on gn(n)'s chords with
     dense adjacency ``adj``."""
-    rows = len(eu)
-    row, chord, color = batch.row, batch.chord, batch.color
+    rows, m = len(eu), len(adj)
     inA = _membership(n, batch.A)
-    # Total: override keys are distinct, so it suffices to count both sides;
-    # pairs of A fail to be chords only as consecutive elements or as {1, n}.
-    _, outside = _min_colors(inA, row, ends[chord, 0], ends[chord, 1])
-    size = inA.sum(axis=1)
-    stable_inside = (
-        size * (size - 1) // 2
-        - (inA[:, 1:n] & inA[:, 2:]).sum(axis=1)
-        - (inA[:, 1] & inA[:, n])
-    )
-    total = np.bincount(row[~outside], minlength=rows) == stable_inside
-    proper = total & _fresh_classes_ok(n, adj, eu, ev, batch)
+    ov = _sorted_overrides(inA, ends, batch.row, batch.chord, batch.color)
+    row, chord, color = ov.row, ov.chord, ov.color
+    # Total: override keys are distinct, so it suffices to count both sides.
+    s, t = (batch.A.take(k, axis=1) for k in _A_PAIRS)
+    inside = np.bincount(row[~ov.outside], minlength=rows)
+    total = inside == is_stable_pair(s, t, n).sum(axis=1)
+    # Each end of the deleted edge: its override in the row, if any, else
+    # its min-based colour; and the run of that override (0: none).
+    e = np.stack([eu, ev])
+    lo, hi = np.moveaxis(ends.take(e, axis=0), 2, 0)
+    own = _min_colors(inA, np.arange(rows), lo, hi)[0]
+    end, i = np.divmod(np.flatnonzero(chord == e.take(row, axis=1)), len(row))
+    own[end, row[i]] = color[i]
+    run = np.zeros((2, rows), dtype=np.int64)
+    run[end, row[i]] = np.cumsum(ov.start)[i]
+    # A total certificate colours every chord.
+    mono = total & (own[0] == own[1])
+    # No run of overrides holds an edge but the deleted one.
+    i, j = _run_pairs(ov.start)
+    joined = row[i[adj.take(chord[i] * m + chord[j])]]
+    deleted = (run[0] == run[1]) & (run[0] > 0)
+    proper = total & (np.bincount(joined, minlength=rows) == deleted)
     # An override of colour c <= n that its chord lacks, against every
     # neighbour but the other end of the deleted edge.
-    color_of = _color_lookup(inA, ends, len(adj), batch)
-    lacks = (color <= n) & (color != ends[chord, 0]) & (color != ends[chord, 1])
-    l_row, l_chord, l_color = row[lacks], chord[lacks], color[lacks]
-    k, w = np.nonzero(adj[l_chord])
-    r, v, c = l_row[k], l_chord[k], l_color[k]
-    cw, has = color_of(r, w)
-    deleted = ((v == eu[r]) & (w == ev[r])) | ((v == ev[r]) & (w == eu[r]))
-    proper[r[has & (cw == c) & ~deleted]] = False
-    # A total certificate colours every chord.
-    everyone = np.arange(rows)
-    mono = total & (color_of(everyone, eu)[0] == color_of(everyone, ev)[0])
-    used = _count_colors(n, inA, row, ends[chord, 0], ends[chord, 1], color)
-    return proper, mono, total, used
+    lacks = (color <= n) & (color != ov.lo) & (color != ov.hi)
+    if lacks.any():
+        k, w = np.nonzero(adj[chord[lacks]])
+        r, v, c = row[lacks][k], chord[lacks][k], color[lacks][k]
+        # w's colour in row r: its override, by (row, chord) key, if any,
+        # else its min-based colour, which a chord inside A lacks.
+        keys = row * m + chord
+        order = keys.argsort()
+        at = np.searchsorted(keys, r * m + w, sorter=order)
+        at = order[at.clip(max=len(keys) - 1)]
+        over = keys[at] == r * m + w
+        own, has = _min_colors(inA, r, *ends.take(w, axis=0).T)
+        same = (over | has) & (np.where(over, color[at], own) == c)
+        deleted = ((v == eu[r]) & (w == ev[r])) | ((v == ev[r]) & (w == eu[r]))
+        proper[r[same & ~deleted]] = False
+    return proper, mono, total, _count_colors(n, inA, ov)
 
 
 def verify_edge_criticality(
@@ -520,42 +508,43 @@ def verify_edge_criticality(
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    The sweep reads ``gn_adjacency(n)`` and builds gn(n) only for the
-    solver.  Rows follow the edge order of the graph, and are built a chunk
-    of edges at a time.  Raises AssertionError, and returns no report, if an
+    The sweep builds gn(n) only for the solver.  Rows follow the edge order
+    of the graph, and are built a chunk of edges at a time.  Raises AssertionError, and returns no report, if an
     edge of the adjacency is not a crossing or transverse pair: such pairs
     are disjoint, the premise of the class by class properness check.
     """
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(gn(n), n - 3, cfg).status
-    adj = gn_adjacency(n)
     chords = gn_chords(n)
+    adj = _upper_adjacency(chords)
+    # Row-major order of the upper triangle is the order of Graph.edges().
+    eu, ev = np.nonzero(adj)
+    adj |= adj.T
     labels = [chord_label(p) for p in chords]
     ends = np.array(chords, dtype=np.int64)
-    # Row-major order of the upper triangle is the order of Graph.edges().
-    eu, ev = np.nonzero(np.triu(adj, 1))
     names = [case.value for case in _CASES]
+    make_row = partial(tuple.__new__, EdgeCertRow)
     rows: list[EdgeCertRow] = []
     for start in range(0, len(eu), _CHUNK):
         u, v = eu[start : start + _CHUNK], ev[start : start + _CHUNK]
         try:
-            batch = _certificate_batch(n, ends[u], ends[v])
+            batch = _certificate_batch(n, ends.take(u, axis=0), ends.take(v, axis=0))
         except NotAnEdgeError as exc:
             raise AssertionError(f"gn({n}): {exc}") from exc
         proper, mono, total, colors_used = _check(n, adj, ends, u, v, batch)
         ok = total & proper & mono & (colors_used <= n - 3)
-        rows += map(
-            EdgeCertRow,
+        rows += map(make_row, zip(
             # ids are lexicographic, so u < v puts the smaller chord first
-            [f"{labels[a]},{labels[b]}" for a, b in zip(u.tolist(), v.tolist())],
-            [names[k] for k in batch.case.tolist()],
+            map(",".join, zip(map(labels.__getitem__, u.tolist()),
+                              map(labels.__getitem__, v.tolist()))),
+            map(names.__getitem__, batch.case.tolist()),
             colors_used.tolist(),
             proper.tolist(),
             mono.tolist(),
             total.tolist(),
-            [("fail", "pass")[k] for k in ok.tolist()],
-        )
+            map(("fail", "pass").__getitem__, ok.tolist()),
+        ))
     return EdgeCriticalityReport(n, tuple(rows), solver_status)
 
 

@@ -18,7 +18,7 @@ Families built here:
 ``stable_subsets`` is the one enumeration of stable subsets (``gn_chords``
 is its k = 2 list), and ``is_stable_pair`` states the chord rule once, for
 ``validate_chord`` and the certificate code.  ``edge_pattern`` states the
-edge rule of ``gn`` once, for ``gn_adjacency`` (and through it ``gn``),
+edge rule of ``gn`` once, for ``gn_adjacency`` and ``gn``,
 ``classify_pair`` and the certificate code.
 """
 
@@ -199,29 +199,39 @@ def chord_base(n: int) -> tuple[int, ...]:
                  for s in range(1, n - 1)))
 
 
-def gn_adjacency(n: int) -> np.ndarray:
-    """Adjacency of gn(n) as a symmetric V x V boolean matrix, in the vertex
-    order of ``gn_chords(n)``.
+def _upper_adjacency(chords: tuple[Chord, ...]) -> np.ndarray:
+    """The upper triangle of gn(n)'s adjacency, for ``chords = gn_chords(n)``,
+    as a V x V boolean matrix; ``upper |= upper.T`` mirrors it in place.
 
     ``edge_pattern`` is broadcast over all pairs, row chord (a, b) against
     column chord (c, d).  Chords are in lexicographic order, so a < c holds
-    only above the diagonal: the rule fills the upper triangle, and the
-    lower one is its mirror.
+    only above the diagonal, and the row-major nonzeros are the edges in
+    ``Graph.edges()`` order.
     """
-    a, b = np.array(gn_chords(n)).T
-    crossing, transverse = edge_pattern(a[:, None], b[:, None], a, b)
-    upper = crossing | transverse
-    return upper | upper.T
+    a, b = np.array(chords).T
+    upper, transverse = edge_pattern(a[:, None], b[:, None], a, b)
+    upper |= transverse
+    return upper
+
+
+def gn_adjacency(n: int) -> np.ndarray:
+    """Adjacency of gn(n) as a symmetric V x V boolean matrix, in the vertex
+    order of ``gn_chords(n)``."""
+    adj = _upper_adjacency(gn_chords(n))
+    adj |= adj.T
+    return adj
 
 
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
-    Each neighbour set is a row of ``gn_adjacency(n)``.
+    Each neighbour set is a row of the adjacency matrix.
     """
     chords = gn_chords(n)
-    adj = tuple(frozenset(np.flatnonzero(row).tolist()) for row in gn_adjacency(n))
-    return Graph(tuple(chord_label(p) for p in chords), adj, n)
+    adj = _upper_adjacency(chords)
+    adj |= adj.T
+    rows = tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj)
+    return Graph(tuple(chord_label(p) for p in chords), rows, n)
 
 
 def _star_label(taken: set[str]) -> str:

@@ -365,18 +365,20 @@ def test_rows_do_not_depend_on_chunk_size(monkeypatch, chunk):
         assert verify_edge_criticality(n).rows == expected[n], n
 
 
+def perturbed(n, p, q, cert):
+    """The certificate with one chord recoloured to another colour in use."""
+    rng = random.Random(f"{n}:{p}:{q}")
+    assignment = cert.assignment
+    v = rng.choice(sorted(assignment))
+    others = sorted(set(assignment.values()) - {assignment[v]})
+    overrides = {**cert.overrides, v: rng.choice(others)}
+    return dataclasses.replace(cert, overrides=overrides)
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
     """Recolour one chord of every certificate to another colour in use:
     the check of the overrides must still agree with the full scan."""
-    def perturbed(n, p, q, cert):
-        rng = random.Random(f"{n}:{p}:{q}")
-        assignment = cert.assignment
-        v = rng.choice(sorted(assignment))
-        others = sorted(set(assignment.values()) - {assignment[v]})
-        overrides = {**cert.overrides, v: rng.choice(others)}
-        return dataclasses.replace(cert, overrides=overrides)
-
     change_certificates(monkeypatch, perturbed)
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
@@ -484,6 +486,62 @@ def test_neighbour_moved_into_fresh_class_matches_full_scan_oracle(monkeypatch, 
     assert {r.proper for r in rows} == {False}
 
 
+def shuffle_overrides(monkeypatch):
+    """Put every batch's (row, chord, colour) triples in a random order."""
+    original = criticality._certificate_batch
+
+    def shuffled(n, p, q):
+        batch = original(n, p, q)
+        order = np.random.default_rng([n, len(p)]).permutation(len(batch.row))
+        return batch._replace(row=batch.row[order], chord=batch.chord[order],
+                              color=batch.color[order])
+
+    monkeypatch.setattr(criticality, "_certificate_batch", shuffled)
+
+
+def test_rows_do_not_depend_on_override_order(monkeypatch):
+    expected = {n: verify_edge_criticality(n).rows for n in range(4, 13)}
+    shuffle_overrides(monkeypatch)
+    for n in range(4, 13):
+        assert verify_edge_criticality(n).rows == expected[n], n
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_shuffled_recoloured_overrides_match_full_scan_oracle(monkeypatch, n):
+    """Recolour one chord of every certificate to another colour in use, then
+    shuffle the overrides: the check must agree with the full scan."""
+    change_certificates(monkeypatch, perturbed)
+    shuffle_overrides(monkeypatch)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {True, False}
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_override_colours_outside_one_to_n_plus_3(monkeypatch, n):
+    """Colours 0, -1 and n+7 on chords inside and outside A: the count
+    equals the colours of the whole colouring, also once element 1 leaves A
+    (every case puts it in A), and the sweep agrees with the full scan."""
+    chords = gn_chords(n)
+    extremes = (0, -1, n + 7)
+
+    def recoloured(n, p, q, cert):
+        rng = random.Random(f"{n}:{p}:{q}")
+        picked = rng.sample(range(len(chords)), 3)
+        return dataclasses.replace(cert, overrides={
+            **cert.overrides, **{v: rng.choice(extremes) for v in picked}})
+
+    for e in gn(n).edges():
+        cert = recoloured(n, chords[e.u], chords[e.v],
+                          critical_coloring(n, chords[e.u], chords[e.v]))
+        for moved in (cert, dataclasses.replace(cert, A=cert.A[1:])):
+            assert moved.colors_used == len(set(moved.assignment.values()))
+    change_certificates(monkeypatch, recoloured)
+    rows = list(verify_edge_criticality(n).rows)
+    assert rows == full_scan_rows(n)
+    assert {r.proper for r in rows} == {True, False}
+
+
 @pytest.mark.parametrize("n", range(4, 13))
 def test_row_colors_used_matches_certificate(n):
     g = gn(n)
@@ -495,17 +553,17 @@ def test_row_colors_used_matches_certificate(n):
 
 
 def adjacency_with(n, p, q):
-    """gn_adjacency(n) with the chords p and q joined as well."""
-    adj = families.gn_adjacency(n)
-    u, v = chord_id(n, p), chord_id(n, q)
-    adj[u, v] = adj[v, u] = True
+    """The upper triangle of gn(n)'s adjacency with the chords p < q joined
+    as well."""
+    adj = families._upper_adjacency(gn_chords(n))
+    adj[chord_id(n, p), chord_id(n, q)] = True
     return adj
 
 
 def test_sweep_rejects_edge_between_intersecting_chords(monkeypatch):
     n = 7
     bad = adjacency_with(n, (1, 3), (1, 5))
-    monkeypatch.setattr(criticality, "gn_adjacency", lambda n: bad)
+    monkeypatch.setattr(criticality, "_upper_adjacency", lambda chords: bad)
     with pytest.raises(AssertionError, match="intersecting"):
         verify_edge_criticality(n)
 
@@ -549,7 +607,7 @@ def test_sweep_rejects_edge_between_disjoint_non_edge_chords(monkeypatch, pair):
     n = 7
     p, q = pair
     bad = adjacency_with(n, p, q)
-    monkeypatch.setattr(criticality, "gn_adjacency", lambda n: bad)
+    monkeypatch.setattr(criticality, "_upper_adjacency", lambda chords: bad)
     cls = classify_pair(p, q, n).value
     with pytest.raises(AssertionError, match=f"form a {cls} pair, not an edge"):
         verify_edge_criticality(n)
