@@ -31,7 +31,7 @@ from operator import index
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, pack
 
 Chord = tuple[int, int]
 
@@ -148,15 +148,15 @@ def classify_pair(p: Chord, q: Chord, n: int) -> PairClass:
 
 
 def _disjointness_graph(n: int, verts: list[tuple[int, ...]]) -> Graph:
-    """Subsets of [n] as vertices, in the given order; edges join disjoint ones."""
-    sets = [frozenset(v) for v in verts]
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if not sets[i] & sets[j]
-    ]
-    return build_graph([chord_label(v) for v in verts], edges, n_hint=n)
+    """Subsets of [n] as vertices, in the given order; edges join disjoint ones.
+
+    Row i of the membership matrix marks the elements of subset i, so its
+    boolean product with the transpose marks the intersecting pairs.
+    """
+    member = np.zeros((len(verts), n + 1), dtype=bool)
+    member[np.arange(len(verts))[:, None], verts] = True
+    disjoint = ~(member @ member.T)
+    return Graph(tuple(chord_label(v) for v in verts), pack(disjoint), n)
 
 
 def kneser(n: int, k: int) -> Graph:
@@ -225,50 +225,34 @@ def gn_adjacency(n: int) -> np.ndarray:
 def gn(n: int) -> Graph:
     """Spanning subgraph of schrijver(n, 2) on crossing and transverse pairs.
 
-    Each neighbour set is a row of the adjacency matrix.
+    Its rows are the rows of the adjacency matrix, packed.
     """
     chords = gn_chords(n)
     adj = _upper_adjacency(chords)
     adj |= adj.T
-    rows = tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj)
-    return Graph(tuple(chord_label(p) for p in chords), rows, n)
-
-
-def _star_label(taken: set[str]) -> str:
-    lbl = "*"
-    while lbl in taken:
-        lbl += "*"
-    return lbl
-
-
-def _trailing_primes(lbl: str) -> int:
-    t = 0
-    for ch in reversed(lbl):
-        if ch != "'":
-            break
-        t += 1
-    return t
+    return Graph(tuple(chord_label(p) for p in chords), pack(adj), n)
 
 
 def mycielski(g: Graph) -> Graph:
-    """Clone-plus-apex expansion of g, built from g's adjacency sets.
+    """Clone-plus-apex expansion of g, built from g's adjacency rows.
 
     Layout contract relied on by the homomorphism module: vertex i of g keeps
     id i, its clone is id n+i, and the apex is id 2n.  Base vertex u is
-    joined to g's neighbours of u and to their clones, clone u to g's
-    neighbours of u and to the apex.  Clone labels append primes (one for
-    unprimed inputs, enough to stay unique under iteration); the apex label
-    is the shortest run of '*' not already taken.
+    joined to g's neighbours of u and to their clones (its row, shifted up
+    by n), clone u to g's neighbours of u and to the apex.  Clone labels
+    append primes (one for unprimed inputs, enough to stay unique under
+    iteration); the apex label is the shortest run of '*' not already taken.
     """
     v = g.n
     apex = 2 * v
-    bump = "'" * (1 + max((_trailing_primes(l) for l in g.labels), default=0))
-    labels = list(g.labels)
-    labels += [lbl + bump for lbl in g.labels]
-    labels.append(_star_label(set(labels)))
-    base = [a | {v + w for w in a} for a in g.adj]
-    clones = [a | {apex} for a in g.adj]
-    return Graph(tuple(labels), (*base, *clones, frozenset(range(v, apex))))
+    primes = 1 + max((len(l) - len(l.rstrip("'")) for l in g.labels), default=0)
+    labels = [*g.labels, *(lbl + "'" * primes for lbl in g.labels)]
+    star = "*"
+    while star in labels:
+        star += "*"
+    base = [r | r << v for r in g.rows]
+    clones = [r | 1 << apex for r in g.rows]
+    return Graph((*labels, star), (*base, *clones, (1 << apex) - (1 << v)))
 
 
 def complete_pair() -> Graph:

@@ -1,17 +1,20 @@
 """Immutable labelled graphs: edge deletion, colouring checks, text exports.
 
-Vertices are dense integer ids 0..n-1; labels are presentation only.  All
-derivation operations (edge or vertex deletion) return new graphs, so a base
-graph can be shared by concurrent sweeps.
+Vertices are dense integer ids 0..n-1; labels are presentation only.  The
+adjacency is one tuple of rows, Python ints with bit w of row u set iff u
+and w are adjacent; ``pack`` and ``unpack`` convert rows to and from a
+boolean matrix.  All derivation operations (edge or vertex deletion) return
+new graphs, so a base graph can be shared by concurrent sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from operator import index
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-VertexId = int
+import numpy as np
 
 # Partial or total colour assignment, vertex id -> colour id.
 Coloring = dict[int, int]
@@ -31,18 +34,46 @@ class Edge(NamedTuple):
 
 
 def edge(u: int, v: int) -> Edge:
-    """Normalize an unordered vertex pair to an Edge with u < v."""
+    """Normalize an unordered vertex pair to an Edge of ints with u < v."""
+    u, v = index(u), index(v)
     if u == v:
         raise ValueError(f"loop edge at vertex {u}")
     return Edge(u, v) if u < v else Edge(v, u)
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pack(matrix: np.ndarray) -> tuple[int, ...]:
+    """The rows of a boolean matrix as ints: bit w of row u is matrix[u, w]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if not width:
+        return (0,) * len(packed)
+    buf = packed.tobytes()
+    return tuple([int.from_bytes(buf[i:i + width], "little")
+                  for i in range(0, len(buf), width)])
+
+
+def unpack(rows: Sequence[int], n: int) -> np.ndarray:
+    """The boolean matrix of bits 0..n-1 of each row; ``pack`` inverts it."""
+    width = (n + 7) // 8
+    buf = b"".join([r.to_bytes(width, "little") for r in rows])
+    packed = np.frombuffer(buf, np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Labelled vertices with symmetric, loop-free adjacency sets."""
+    """Labelled vertices; bit w of ``rows[u]`` is set iff u ~ w (symmetric, loop-free)."""
 
     labels: tuple[str, ...]
-    adj: tuple[frozenset[int], ...]
+    rows: tuple[int, ...]
     n_hint: int | None = None
 
     @property
@@ -51,23 +82,28 @@ class Graph:
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adj[v]))
+        return tuple(bits(self.rows[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.rows[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        """False for any id outside 0..n-1."""
+        u, v = index(u), index(v)
+        return 0 <= u < self.n and 0 <= v and bool(self.rows[u] >> v & 1)
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v) with u < v, ascending lexicographically."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if u < v:
-                    yield Edge(u, v)
+        new = tuple.__new__  # builds an Edge without its Python-level __new__
+        for u, row in enumerate(self.rows):
+            row &= -2 << u
+            while row:
+                low = row & -row
+                yield new(Edge, (u, low.bit_length() - 1))
+                row ^= low
 
 
 def build_graph(
@@ -80,39 +116,38 @@ def build_graph(
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("vertex labels must be unique")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    rows = [0] * n
     for u, v in edges:
+        u, v = index(u), index(v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
         if u == v:
             raise ValueError(f"loop edge at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(labels, tuple(frozenset(a) for a in adj), n_hint)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(labels, tuple(rows), n_hint)
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Return g with edge e removed; g itself is untouched."""
     u, v = edge(e[0], e[1])
-    if v not in g.adj[u]:
+    if not g.has_edge(u, v):
         raise MissingEdgeError(f"edge ({u},{v}) not in graph")
-    adj = list(g.adj)
-    adj[u] = adj[u] - {v}
-    adj[v] = adj[v] - {u}
-    return Graph(g.labels, tuple(adj), g.n_hint)
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.labels, tuple(rows), g.n_hint)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    """Return g minus vertex v, with the remaining ids repacked densely."""
+    """Return g minus vertex v, with the remaining ids repacked densely:
+    bit v leaves each row and the bits above it shift down by one."""
+    v = index(v)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    keep = [u for u in range(g.n) if u != v]
-    remap = {old: new for new, old in enumerate(keep)}
-    labels = tuple(g.labels[u] for u in keep)
-    adj = tuple(
-        frozenset(remap[w] for w in g.adj[u] if w != v) for u in keep
-    )
-    return Graph(labels, adj, g.n_hint)
+    low = (1 << v) - 1
+    rows = tuple(r & low | r >> v + 1 << v for r in g.rows[:v] + g.rows[v + 1:])
+    return Graph(g.labels[:v] + g.labels[v + 1:], rows, g.n_hint)
 
 
 @dataclass(frozen=True)

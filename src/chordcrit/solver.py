@@ -24,9 +24,10 @@ per position, with positions in the static tie order (degree descending,
 then rank), so one AND tests a whole set: a neighbourhood mask per vertex,
 a mask per colour of the vertices it is forbidden to, and saturation as
 binary bit planes, whose top-down narrowing of the uncoloured set leaves the
-next pick as its lowest bit.  The neighbourhood masks are built once per
-call; the clique is grown on them and every search of the call reads them.
-``greedy_bound`` breaks ties by vertex id, so it builds its own.
+next pick as its lowest bit.  The neighbourhood masks are ``Graph.rows``
+permuted into that order, built once per call; the clique is grown on them
+and every search of the call reads them.  ``greedy_bound`` breaks ties by
+vertex id, so it builds its own.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Coloring, Graph, count_colors
+from .graph import Coloring, Graph, bits, count_colors, pack, unpack
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,13 @@ def clique_bound(g: Graph) -> list[int]:
     Each step adds the candidate with the most neighbours among the
     candidates, then the highest degree, then the lowest id.  Its size is a
     valid lower bound on the chromatic number.  The searches grow the same
-    clique on their own masks; this grows it on the identity numbering.
+    clique on their own masks; this grows it on the identity numbering,
+    whose masks are ``g.rows``.
     """
-    return _clique(g, _masks(g, range(g.n)), range(g.n))
+    return _clique(g, g.rows, range(g.n))
 
 
-def _clique(g: Graph, adjm: list[int], order: Sequence[int]) -> list[int]:
+def _clique(g: Graph, adjm: Sequence[int], order: Sequence[int]) -> list[int]:
     """``clique_bound(g)`` grown on ``adjm = _masks(g, order)``.
 
     Every vertex starts as a candidate, so the first step picks the vertex
@@ -115,18 +117,10 @@ def _clique(g: Graph, adjm: list[int], order: Sequence[int]) -> list[int]:
     while cands:
         # The keys differ in -order[p], so the trailing p is never compared.
         q = max(((adjm[p] & cands).bit_count(), degree[p], -order[p], p)
-                for p in _bits(cands))[-1]
+                for p in bits(cands))[-1]
         clique.append(order[q])
         cands &= adjm[q]
     return sorted(clique)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def is_k_colorable(
@@ -158,27 +152,14 @@ def _tie_order(seed: int, n: int) -> tuple[int, ...]:
     return tuple(np.random.default_rng(seed).permutation(n).tolist())
 
 
-def _masks(g: Graph, order: Sequence[int]) -> list[int]:
-    """Bit j of mask i is set iff vertices order[i] and order[j] are adjacent.
-
-    Masks are parsed from binary digits: no neighbour costs a big-int shift.
-    """
-    n = g.n
-    digit = [0] * n  # where each vertex's bit sits in the digit string
-    for p, v in enumerate(order):
-        digit[v] = n - 1 - p
-    zeros = b"0" * n
-    masks = []
-    for v in order:
-        digits = bytearray(zeros)
-        for w in g.adj[v]:
-            digits[digit[w]] = 49  # ord("1")
-        masks.append(int(digits, 2))
-    return masks
+def _masks(g: Graph, order: list[int]) -> tuple[int, ...]:
+    """Bit j of mask i is set iff vertices order[i] and order[j] are adjacent:
+    ``g.rows`` taken in order, with their columns permuted the same way."""
+    return pack(unpack([g.rows[v] for v in order], g.n).take(order, axis=1))
 
 
 def _search(
-    adjm: list[int], order: list[int], k: int, clique: list[int],
+    adjm: Sequence[int], order: list[int], k: int, clique: list[int],
     deadline: float, interval: int,
 ) -> ColorDecision:
     """``is_k_colorable`` for any graph and k >= 0, given a clique of it.

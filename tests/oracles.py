@@ -166,7 +166,7 @@ def brute_proper(g: Graph, coloring: dict[int, int]) -> bool:
         if v not in coloring:
             return False
     for u in range(g.n):
-        for v in g.adj[u]:
+        for v in g.neighbors(u):
             if coloring[u] == coloring[v]:
                 return False
     return True
@@ -305,12 +305,13 @@ def _walk_rows(n: int, g: Graph, chords, e: Edge) -> EdgeCertRow:
     proper = True
     for v, c in low:
         if c not in chords[v]:
-            for w in g.adj[v]:
+            for w in g.neighbors(v):
                 if color(w) == c and edge(v, w) != e:
                     proper = False
     for members in fresh.values():
         cls = set(members)
-        inner = sum(len(cls & g.adj[v]) for v in members)  # each edge twice
+        # Each edge inside the class is counted from both ends.
+        inner = sum(len(cls.intersection(g.neighbors(v))) for v in members)
         if inner > 2 * (e.u in cls and e.v in cls):
             proper = False
     elems = cert.A
@@ -367,6 +368,19 @@ def edge_list_mycielski(g: Graph) -> Graph:
     return build_graph(labels + [apex], edges)
 
 
+def set_mycielski(g: Graph) -> tuple[int, ...]:
+    """The rows of the clone-plus-apex expansion of g, built from neighbour
+    sets: base u gets N(u) and the clones of N(u), clone u gets N(u) and the
+    apex, and the apex gets every clone."""
+    v = g.n
+    apex = 2 * v
+    adj = [frozenset(g.neighbors(u)) for u in range(v)]
+    base = [a | {v + w for w in a} for a in adj]
+    clones = [a | {apex} for a in adj]
+    sets = [*base, *clones, frozenset(range(v, apex))]
+    return tuple(sum(1 << w for w in a) for a in sets)
+
+
 def brute_hom_violations(G: Graph, H: Graph, mapping) -> tuple[Edge, ...]:
     """Edges of G whose images are not adjacent in H, in ``G.edges()`` order."""
     return tuple(e for e in G.edges() if not H.has_edge(mapping[e.u], mapping[e.v]))
@@ -408,7 +422,7 @@ def brute_chromatic(g: Graph) -> int:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    return all(not (g.adj[u] & g.adj[v]) for u, v in g.edges())
+    return all(not set(g.neighbors(u)) & set(g.neighbors(v)) for u, v in g.edges())
 
 
 def is_connected(g: Graph) -> bool:
@@ -418,7 +432,7 @@ def is_connected(g: Graph) -> bool:
     frontier = [0]
     while frontier:
         u = frontier.pop()
-        for w in g.adj[u]:
+        for w in g.neighbors(u):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

@@ -449,8 +449,8 @@ def test_edge_outside_a_in_fresh_class_matches_full_scan_oracle(monkeypatch, n):
 
     def joined(n, p, q, cert):
         outside = {v for v, t in enumerate(chords) if not set(t) <= set(cert.A)}
-        pairs = [(v, w) for v in sorted(outside) for w in sorted(g.adj[v] & outside)
-                 if v < w]
+        pairs = [(v, w) for v in sorted(outside)
+                 for w in sorted(outside.intersection(g.neighbors(v))) if v < w]
         if not pairs:
             return cert
         changed.append((p, q))
@@ -475,7 +475,7 @@ def test_neighbour_moved_into_fresh_class_matches_full_scan_oracle(monkeypatch, 
         v = rng.choice(sorted(cert.overrides))
         c = cert.overrides[v]
         deleted = {chord_id(n, p), chord_id(n, q)}
-        nbrs = sorted(w for w in g.adj[v] if cert.overrides.get(w) != c
+        nbrs = sorted(w for w in g.neighbors(v) if cert.overrides.get(w) != c
                       and {v, w} != deleted)
         overrides = {**cert.overrides, rng.choice(nbrs): c}
         return dataclasses.replace(cert, overrides=overrides)

@@ -21,11 +21,11 @@ from chordcrit.families import (
     schrijver,
     stable_subsets,
 )
-from chordcrit.graph import EXPORT_FORMATS, build_graph, export_graph
+from chordcrit.graph import EXPORT_FORMATS, build_graph, delete_vertex, export_graph
 from chordcrit.homomorphism import build_h, lower_bound_chain
 from chordcrit.pairs import chord_table, count_pairs
 
-from helpers import PINNED, sha256
+from helpers import PINNED, edgeless_graph, sha256
 
 from oracles import (
     brute_chords,
@@ -35,6 +35,7 @@ from oracles import (
     brute_stable_ksubsets,
     is_cycle,
     edge_list_mycielski,
+    set_mycielski,
     is_single_edge,
     is_triangle_free,
     nonadjacent_pairs,
@@ -253,7 +254,7 @@ def test_gn_degrees_match_partner_intervals(n):
     inside, after = b - a - 1, n - b
     nested = np.where(a > 1, nonadjacent_pairs(inside), 0)
     later = inside * after + nested
-    assert [sum(w > v for w in g.adj[v]) for v in range(g.n)] == later.tolist()
+    assert [sum(w > v for w in g.neighbors(v)) for v in range(g.n)] == later.tolist()
     assert int(later.sum()) == count_pairs(n).gn_edges == g.edge_count
     around = np.where(a > 1, (a - 2) * after, 0)
     degree = inside * (n - b + a - 1) + nested + around
@@ -323,7 +324,7 @@ def test_mycielski_structure():
         assert m.has_edge(e.u, e.v)
         assert m.has_edge(e.u, v + e.v)
         assert m.has_edge(e.v, v + e.u)
-    assert set(m.adj[star]) == {v + u for u in range(v)}
+    assert m.neighbors(star) == tuple(range(v, star))
     assert len(set(m.labels)) == m.n
 
 
@@ -336,6 +337,24 @@ def test_mycielski_is_pinned():
 def test_mycielski_matches_edge_list_oracle():
     for key, g in _mycielski_inputs():
         assert mycielski(g) == edge_list_mycielski(g), key
+
+
+def test_mycielski_rows_match_set_oracle():
+    graphs = [gn(n) for n in range(4, 11)]
+    graphs += [mycielski_iter(k) for k in range(2, 7)]
+    graphs += [edgeless_graph(0), edgeless_graph(5)]
+    for g in graphs:
+        assert mycielski(g).rows == set_mycielski(g), g.labels
+
+
+def test_delete_vertex_matches_rebuilt_graph():
+    for g in (gn(7), schrijver(7, 2)):
+        for v in range(g.n):
+            keep = [u for u in range(g.n) if u != v]
+            new = {u: i for i, u in enumerate(keep)}
+            edges = [(new[a], new[b]) for a, b in g.edges() if v not in (a, b)]
+            want = build_graph([g.labels[u] for u in keep], edges, g.n_hint)
+            assert delete_vertex(g, v) == want, (g.labels, v)
 
 
 def test_mycielski_size_recurrences():

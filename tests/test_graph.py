@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chordcrit.graph import (
@@ -12,7 +13,9 @@ from chordcrit.graph import (
     edge,
     export_graph,
     is_proper_coloring,
+    pack,
     parse_graph,
+    unpack,
 )
 from chordcrit.families import gn
 from chordcrit.solver import is_k_colorable
@@ -75,8 +78,40 @@ def test_delete_edge_keeps_adjacency_symmetric():
         h = delete_edge(g, e)
         assert h.edge_count == g.edge_count - 1
         for u in range(h.n):
-            for w in h.adj[u]:
-                assert u in h.adj[w]
+            for w in h.neighbors(u):
+                assert h.has_edge(w, u)
+
+
+def test_vertex_ids_outside_the_graph_are_not_edges():
+    g6 = gn(6)
+    edges = g6.edge_count
+    for u, v in [(-1, 2), (2, -1), (-9, 0), (2, g6.n), (g6.n, 2)]:
+        assert not g6.has_edge(u, v)
+        with pytest.raises(MissingEdgeError):
+            delete_edge(g6, (u, v))
+    assert g6.edge_count == edges
+
+
+def test_numpy_vertex_ids_past_bit_63():
+    g = gn(14)
+    u, v = next(e for e in g.edges() if e.v > 64)
+    nu, nv = np.int64(u), np.int64(v)
+    assert g.has_edge(nu, nv)
+    assert delete_edge(g, (nu, nv)) == delete_edge(g, (u, v))
+    assert delete_vertex(g, nv) == delete_vertex(g, v)
+    edges = np.array(list(g.edges()))
+    assert build_graph(g.labels, edges, g.n_hint) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+def test_pack_round_trips(n):
+    matrix = np.random.default_rng(n).random((n, n)) < 0.5
+    rows = pack(matrix)
+    assert len(rows) == n
+    assert all(r >> w & 1 == matrix[u, w] for u, r in enumerate(rows) for w in range(n))
+    assert all(r < 1 << n for r in rows)
+    assert (unpack(rows, n) == matrix).all()
+    assert unpack(rows, n).shape == (n, n)
 
 
 def test_delete_vertex_reindexes():

@@ -63,7 +63,7 @@ def test_delete_edge_invariants(g):
     for e in list(g.edges())[:5]:
         h = delete_edge(g, e)
         assert h.edge_count == g.edge_count - 1
-        assert all(u in h.adj[w] for u in range(h.n) for w in h.adj[u])
+        assert all(h.has_edge(w, u) for u in range(h.n) for w in h.neighbors(u))
         assert g.has_edge(e.u, e.v)
 
 

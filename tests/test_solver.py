@@ -122,7 +122,7 @@ def test_masks_are_adjacency_under_any_numbering():
         masks = solver._masks(g, order)
         assert len(masks) == g.n
         for i, v in enumerate(order):
-            assert masks[i] == sum(1 << pos[w] for w in g.adj[v]), (g.n, v)
+            assert masks[i] == sum(1 << pos[w] for w in g.neighbors(v)), (g.n, v)
 
 
 def test_clique_grows_on_any_numbering():
