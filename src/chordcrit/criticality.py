@@ -22,11 +22,13 @@ vertex id ``chord_base(n)[s] + t``, the numbering ``gn`` uses, as
 (row, chord, colour) triples.
 
 ``verify_edge_criticality`` takes the edges of gn(n) in ``Graph.edges()``
-order, a fixed-size chunk at a time (``_CHUNK``), so that the arrays stay
-bounded as n grows.  Each chunk gets one batch construction and one batch
-check (``_check``), which reads only A and the overrides, never the whole
-colouring.  The check sorts the overrides once, by (row, colour), so that
-each colour class of a row is a run, and reads off that order:
+order, a chunk at a time (``_CHUNK``), so that its arrays stay bounded as
+n grows, and keeps only their verdicts, 15 bytes an edge (``_VERDICT``),
+which the report formats when read.  Each chunk gets one batch
+construction and one batch check (``_check``), which reads only A and the
+overrides, never the whole colouring.  The check sorts the overrides once,
+by (row, colour), so that each colour class of a row is a run, and reads
+off that order:
 
 * total: the overridden chords inside A are as many as the stable pairs
   of A;
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -386,21 +388,32 @@ class EdgeCertRow(NamedTuple):
     verdict: str  # "pass" | "fail"
 
 
-@dataclass(frozen=True)
+# An edge's verdicts: chord ids u < v, code into _CASES, checks.
+_VERDICT = np.dtype([
+    ("u", "i4"), ("v", "i4"), ("case", "i1"), ("colors_used", "i2"),
+    ("proper", "?"), ("mono", "?"), ("total", "?"), ("ok", "?"),
+])
+_OUTCOMES = ("fail", "pass")
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeCriticalityReport:
+    """An edge sweep's verdicts, a ``_VERDICT`` array per chunk, formatted
+    by ``rows`` and ``lines`` when read.  Compared by identity."""
+
     n: int
-    rows: tuple[EdgeCertRow, ...]
+    chunks: tuple[np.ndarray, ...]
     # Raw decision on the base graph at k = n-3: "no" | "yes" | "timeout",
     # or None when the solver cross-check was not requested.
     solver_status: str | None
 
     @property
     def all_pass(self) -> bool:
-        return all(r.verdict == "pass" for r in self.rows)
+        return all(c["ok"].all() for c in self.chunks)
 
     @property
     def passed(self) -> int:
-        return sum(r.verdict == "pass" for r in self.rows)
+        return sum(int(c["ok"].sum()) for c in self.chunks)
 
     @property
     def solver_confirms_chromatic(self) -> bool | None:
@@ -410,14 +423,28 @@ class EdgeCriticalityReport:
     def solver_timed_out(self) -> bool:
         return self.solver_status == "timeout"
 
+    @property
+    def rows(self) -> tuple[EdgeCertRow, ...]:
+        """Rows of the verdicts, built on each read."""
+        labels = [chord_label(p) for p in gn_chords(self.n)]
+        return tuple(
+            EdgeCertRow(f"{labels[u]},{labels[v]}", _CASES[case].value, k,
+                        *flags, _OUTCOMES[ok])
+            for chunk in self.chunks
+            for u, v, case, k, *flags, ok in chunk.tolist()
+        )
+
     def lines(self) -> Iterator[str]:
         """The report one line at a time, each ending in a newline."""
-        for r in self.rows:
-            yield (
-                f"{r.edge} {r.case} {r.colors_used} {str(r.proper).lower()} "
-                f"{str(r.endpoints_monochromatic).lower()} {r.verdict}\n"
-            )
-        yield f"certificates {self.passed}/{len(self.rows)} valid at n={self.n}\n"
+        labels = [chord_label(p) for p in gn_chords(self.n)]
+        names = [case.value for case in _CASES]
+        words = ("false", "true")
+        for chunk in self.chunks:
+            for u, v, case, k, proper, mono, _, ok in chunk.tolist():
+                yield (f"{labels[u]},{labels[v]} {names[case]} {k} "
+                       f"{words[proper]} {words[mono]} {_OUTCOMES[ok]}\n")
+        edges = sum(map(len, self.chunks))
+        yield f"certificates {self.passed}/{edges} valid at n={self.n}\n"
         if self.solver_status is not None:
             word = {"no": "confirmed", "yes": "refuted", "timeout": "timeout"}[
                 self.solver_status
@@ -501,6 +528,16 @@ def _check(
     return proper, mono, total, _count_colors(n, inA, ov)
 
 
+def _edge_chunks(upper: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonzeros (u, v) of ``upper``, row-major as ``Graph.edges()``,
+    at most ``_CHUNK`` at a time, indexed a ~1 MB block of rows at a time."""
+    step = max(1, (1 << 20) // len(upper))
+    for r in range(0, len(upper), step):
+        u, v = np.nonzero(upper[r : r + step])
+        for s in range(0, len(u), _CHUNK):
+            yield u[s : s + _CHUNK] + r, v[s : s + _CHUNK]
+
+
 def verify_edge_criticality(
     n: int,
     use_solver: bool = False,
@@ -508,44 +545,32 @@ def verify_edge_criticality(
 ) -> EdgeCriticalityReport:
     """Certify every edge of gn(n); optionally solver-check the base graph.
 
-    The sweep builds gn(n) only for the solver.  Rows follow the edge order
-    of the graph, and are built a chunk of edges at a time.  Raises AssertionError, and returns no report, if an
-    edge of the adjacency is not a crossing or transverse pair: such pairs
-    are disjoint, the premise of the class by class properness check.
+    The sweep builds gn(n) only for the solver and keeps only the edges'
+    verdicts, which the report formats when read.  Raises AssertionError,
+    and returns no report, if an edge of the adjacency is not a crossing or
+    transverse pair: such pairs are disjoint, the premise of the class by
+    class properness check.
     """
     solver_status: str | None = None
     if use_solver:
         solver_status = is_k_colorable(gn(n), n - 3, cfg).status
     chords = gn_chords(n)
-    adj = _upper_adjacency(chords)
-    # Row-major order of the upper triangle is the order of Graph.edges().
-    eu, ev = np.nonzero(adj)
-    adj |= adj.T
-    labels = [chord_label(p) for p in chords]
+    upper = _upper_adjacency(chords)
+    adj = upper | upper.T
     ends = np.array(chords, dtype=np.int64)
-    names = [case.value for case in _CASES]
-    make_row = partial(tuple.__new__, EdgeCertRow)
-    rows: list[EdgeCertRow] = []
-    for start in range(0, len(eu), _CHUNK):
-        u, v = eu[start : start + _CHUNK], ev[start : start + _CHUNK]
+    chunks = []
+    for u, v in _edge_chunks(upper):
         try:
             batch = _certificate_batch(n, ends.take(u, axis=0), ends.take(v, axis=0))
         except NotAnEdgeError as exc:
             raise AssertionError(f"gn({n}): {exc}") from exc
         proper, mono, total, colors_used = _check(n, adj, ends, u, v, batch)
         ok = total & proper & mono & (colors_used <= n - 3)
-        rows += map(make_row, zip(
-            # ids are lexicographic, so u < v puts the smaller chord first
-            map(",".join, zip(map(labels.__getitem__, u.tolist()),
-                              map(labels.__getitem__, v.tolist()))),
-            map(names.__getitem__, batch.case.tolist()),
-            colors_used.tolist(),
-            proper.tolist(),
-            mono.tolist(),
-            total.tolist(),
-            map(("fail", "pass").__getitem__, ok.tolist()),
-        ))
-    return EdgeCriticalityReport(n, tuple(rows), solver_status)
+        columns = (u, v, batch.case, colors_used, proper, mono, total, ok)
+        chunks.append(np.empty(len(u), dtype=_VERDICT))
+        for name, column in zip(_VERDICT.names, columns):
+            chunks[-1][name] = column
+    return EdgeCriticalityReport(n, tuple(chunks), solver_status)
 
 
 @dataclass(frozen=True)

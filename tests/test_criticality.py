@@ -314,6 +314,59 @@ def test_edge_criticality_report_is_pinned(n):
     assert sha256(report) == PINNED["edge_criticality_render"][str(n)]
 
 
+def rows_text(report):
+    """The report formatted line by line from its rows."""
+    rows = report.rows
+    text = [
+        f"{r.edge} {r.case} {r.colors_used} {str(r.proper).lower()} "
+        f"{str(r.endpoints_monochromatic).lower()} {r.verdict}\n"
+        for r in rows
+    ]
+    passed = sum(r.verdict == "pass" for r in rows)
+    text.append(f"certificates {passed}/{len(rows)} valid at n={report.n}\n")
+    if report.solver_status is not None:
+        word = {"no": "confirmed", "yes": "refuted", "timeout": "timeout"}
+        text.append(f"solver: base graph not {report.n - 3}-colourable: "
+                    f"{word[report.solver_status]}\n")
+    return "".join(text)
+
+
+@pytest.mark.parametrize(
+    "n, use_solver", [(n, False) for n in range(4, 21)] + [(7, True)]
+)
+def test_lines_match_rows(n, use_solver):
+    """Lines and rows are formatted from the verdicts independently."""
+    report = verify_edge_criticality(n, use_solver=use_solver)
+    assert "".join(report.lines()) == rows_text(report)
+
+
+def test_rows_are_built_only_when_read(monkeypatch):
+    made = []
+
+    class Counted(criticality.EdgeCertRow):
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(criticality, "EdgeCertRow", Counted)
+    report = verify_edge_criticality(9)
+    assert report.all_pass and report.render() and not made
+    rows = report.rows
+    assert len(made) == len(rows) == report.passed == gn(9).edge_count
+
+
+def test_report_keeps_at_most_16_bytes_an_edge():
+    report = verify_edge_criticality(30)
+    assert not any(chunk.dtype.hasobject for chunk in report.chunks)
+    kept = sum(chunk.nbytes for chunk in report.chunks)
+    assert kept <= 16 * gn(30).edge_count
+
+
+def test_reports_compare_by_identity():
+    a, b = verify_edge_criticality(6), verify_edge_criticality(6)
+    assert a == a and a != b and a.rows == b.rows
+
+
 @pytest.mark.parametrize("n", range(7, 11))
 def test_colors_used_matches_assignment_under_overrides(n):
     """Random overrides, some displacing every chord of an element or using
@@ -383,6 +436,27 @@ def test_perturbed_certificates_match_full_scan_oracle(monkeypatch, n):
     rows = list(verify_edge_criticality(n).rows)
     assert rows == full_scan_rows(n)
     assert {r.proper for r in rows} == {True, False}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_lines_match_rows_of_failing_certificates(monkeypatch, n):
+    change_certificates(monkeypatch, perturbed)
+    report = verify_edge_criticality(n)
+    rows = report.rows
+    assert any(r.proper != r.endpoints_monochromatic for r in rows)
+    assert 0 < report.passed < len(rows) and not report.all_pass
+    assert "".join(report.lines()) == rows_text(report)
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_edge_chunks_follow_edge_order_across_row_blocks(monkeypatch, chunk):
+    """Past 1,024 chords the nonzeros are taken a block of rows at a time."""
+    monkeypatch.setattr(criticality, "_CHUNK", chunk)
+    upper = families._upper_adjacency(gn_chords(47))
+    chunks = list(criticality._edge_chunks(upper))
+    assert max(len(u) for u, _ in chunks) == chunk
+    u, v = (np.concatenate(ends).tolist() for ends in zip(*chunks))
+    assert list(zip(u, v)) == list(gn(47).edges())
 
 
 @pytest.mark.parametrize("n", range(6, 11))
