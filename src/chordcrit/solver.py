@@ -16,18 +16,23 @@ a "no" answer is exhaustive.
 The time budget starts when ``is_k_colorable`` or ``chromatic_number`` is
 called, so it covers the clique and the greedy bound as well as the search.
 The search runs as one loop and reads the wall clock only when its backtrack
-count reaches a multiple of ``backtrack_check_interval``, never per node, so
-timeout handling stays cheap and the search itself deterministic: the
-interval changes no status, witness or backtrack count, only how far a
-budget may be overrun.  The loop holds vertex sets as Python ints, one bit
-per position, with positions in the static tie order (degree descending,
-then rank), so one AND tests a whole set: a neighbourhood mask per vertex,
-a mask per colour of the vertices it is forbidden to, and saturation as
-binary bit planes, whose top-down narrowing of the uncoloured set leaves the
-next pick as its lowest bit.  The neighbourhood masks are ``Graph.rows``
-permuted into that order, built once per call; the clique is grown on them
-and every search of the call reads them.  ``greedy_bound`` breaks ties by
-vertex id, so it builds its own.
+count reaches or passes a multiple of ``backtrack_check_interval``, never
+per node, so timeout handling stays cheap and the search itself
+deterministic: the interval changes no status, witness or backtrack count,
+only how far a budget may be overrun.  The loop holds vertex sets as Python
+ints, one bit per position, with positions in the static tie order (degree
+descending, then rank), so one AND tests a whole set: a neighbourhood mask
+per vertex, a mask per colour of the vertices it is forbidden to, and
+saturation as binary bit planes, whose top-down narrowing of the uncoloured
+set leaves the next pick as its lowest bit and its saturation as the bits
+it narrowed on.  That saturation tells whether the pick has a free colour,
+and how many more its depth has to try, without a scan.  So a dead end
+needs no colour scan, and it goes back in one step to the deepest depth
+with a colour left, counting one backtrack for each depth it leaves, just
+as a search that steps up one depth at a time would.  The neighbourhood
+masks are ``Graph.rows`` permuted into that order, built once per call; the
+clique is grown on them and every search of the call reads them.
+``greedy_bound`` breaks ties by vertex id, so it builds its own.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ class SolverConfig:
     time_budget: float = 60.0
     seed: int = 0
     # Timeout granularity: the wall clock is read once per this many
-    # backtracks, never per node (about every 8 ms at 1024).
+    # backtracks, never per node (about every 1.5 ms at 1024: G_11's
+    # 260,380 backtracks take ~0.4 s on a 2-vCPU Xeon).
     backtrack_check_interval: int = 1_024
 
     def __post_init__(self) -> None:
@@ -79,6 +85,8 @@ class ChromaticResult:
     status: str  # "exact" | "timeout_with_bounds"
     lower_bound: int
     upper_bound: int
+    # Summed over the call's searches, a timed-out one included.
+    backtracks: int = 0
 
 
 def greedy_bound(g: Graph) -> Coloring:
@@ -169,13 +177,36 @@ def _search(
     least one on ties, except that depth d < len(clique) takes ``clique[d]``,
     which first fit gives colour d.  forb[c] masks the positions with a
     neighbour coloured c (no colour reaches n, so there are min(k, n) of
-    them) and stack_new[d] the bits depth d's colour added to it; bit p of
-    planes[i] is bit i of p's saturation.  Each step picks a position and
-    gives it its first free colour.  When there is none, the inner loop
-    backtracks: it steps up a depth, proving "no" once it leaves the clique
-    prefix, takes that depth's colour off and tries the next free one.
-    ``deadline`` is a ``time.monotonic()`` value, read once per ``interval``
-    backtracks.
+    them), and bit p of planes[0], planes[1], ... spells p's saturation from
+    its highest bit down.  Each depth gives its pick the first free colour
+    up to ``limit``, one past the highest colour used but at most k - 1.
+    Three facts make a node cheap:
+
+    1. A dead end shows in the saturation.  forb[c] is zero for every
+       c > max_used, so the pick's saturation ``sat``, which the top-down
+       narrowing over the planes yields one bit per plane, counts its
+       forbidden colours in 0..limit.  It has a free colour iff
+       sat <= limit: then the first-fit scan needs no bound, else no scan.
+    2. The colours left at a depth are known when it is placed.  The search
+       returns to depth d in exactly the state it had just before d was
+       placed, so d has limit - sat free colours above the one it took:
+       none in the clique prefix, whose colour is its depth.
+    3. A dead end at depth D jumps in one step.  It resumes at the deepest
+       depth a >= len(clique) with a colour left, where it takes the next
+       free colour, and adds D - a backtracks: the pops a loop that steps up
+       one depth per backtrack makes.  With no such depth it adds
+       D - len(clique) + 1 and proves "no".
+
+    stack[d] is (bit of p, c, colours left, carry, then max_used, planes,
+    uncolored and the deepest depth with a colour left as they were before
+    d was placed); carry is the bits d's colour added to forb[c].  A jump
+    undoes forb by XOR over the popped entries and takes the rest back from
+    the resumed one, so planes is copied on write, when carry is non-zero.
+    ``deadline`` is a ``time.monotonic()`` value, read while the backtrack
+    count is at or past the next multiple of ``interval``.  A timeout
+    reports that multiple, the count at which the one-pop loop reads the
+    clock, so neither the interval nor the jumps change a status, witness or
+    backtrack count.
     """
     if len(clique) > k:
         return ColorDecision("no")
@@ -185,75 +216,73 @@ def _search(
     prefix = [order.index(v) for v in clique]
     forb = [0] * min(k, n)
     planes = [0] * min(k, n).bit_length()
+    low = len(planes) - 1
     uncolored = (1 << n) - 1
-    stack_pos = [0] * n
-    stack_color = [0] * n
-    stack_new = [0] * n
-    stack_prev_max = [0] * n
+    stack = []
 
     top = k - 1
     max_used = -1
+    opened = -1  # the deepest depth with a colour left, -1 if none
     depth = 0
     next_check = interval
     backtracks = 0
     while depth < n:
         if depth < fixed:
-            p = prefix[depth]
+            bit = 1 << prefix[depth]
+            c = depth
+            left = 0
         else:
             cand = uncolored
-            for plane in reversed(planes):
-                if cand & plane:
-                    cand &= plane
-            p = (cand & -cand).bit_length() - 1
-        bit = 1 << p
-        limit = max_used + 1 if max_used < top else top
-        c = 0
-        while c <= limit and forb[c] & bit:
-            c += 1
-        while c > limit:  # no free colour: backtrack until one is found
-            backtracks += 1
-            if backtracks == next_check:
-                if time.monotonic() >= deadline:
-                    return ColorDecision("timeout", backtracks=backtracks)
-                next_check += interval
-            depth -= 1
-            if depth < fixed:
-                return ColorDecision("no", backtracks=backtracks)
-            p = stack_pos[depth]
-            c = stack_color[depth]
-            borrow = stack_new[depth]
-            forb[c] ^= borrow
-            i = 0
-            while borrow:  # saturation -= 1 on the bits c had added
-                plane = planes[i]
-                planes[i] = plane ^ borrow
-                borrow &= ~plane
-                i += 1
-            bit = 1 << p
-            uncolored |= bit
-            max_used = stack_prev_max[depth]
+            sat = 0
+            for plane in planes:
+                x = cand & plane
+                if x:
+                    cand = x
+                    sat += sat + 1
+                else:
+                    sat += sat
             limit = max_used + 1 if max_used < top else top
-            c += 1
-            while c <= limit and forb[c] & bit:
+            if sat <= limit:
+                bit = cand & -cand
+                c = 0
+                while forb[c] & bit:
+                    c += 1
+                left = limit - sat
+            else:  # dead end: resume at the deepest depth with a colour left
+                backtracks += depth - max(opened, fixed - 1)
+                while backtracks >= next_check:
+                    if time.monotonic() >= deadline:
+                        return ColorDecision("timeout", backtracks=next_check)
+                    next_check += interval
+                if opened < 0:
+                    return ColorDecision("no", backtracks=backtracks)
+                depth = opened
+                for entry in stack[depth:]:
+                    forb[entry[1]] ^= entry[3]
+                bit, c, left, _, max_used, planes, uncolored, opened = stack[depth]
+                del stack[depth:]
                 c += 1
+                while forb[c] & bit:
+                    c += 1
+                left -= 1
+        carry = adjm[bit.bit_length() - 1] & ~forb[c]
+        stack.append((bit, c, left, carry, max_used, planes, uncolored, opened))
         uncolored ^= bit
-        stack_pos[depth] = p
-        stack_color[depth] = c
-        stack_prev_max[depth] = max_used
-        carry = adjm[p] & ~forb[c]
-        forb[c] |= carry
-        stack_new[depth] = carry
-        i = 0
-        while carry:  # saturation += 1 on the newly covered bits
-            plane = planes[i]
-            planes[i] = plane ^ carry
-            carry &= plane
-            i += 1
+        if carry:
+            forb[c] |= carry
+            planes = planes[:]
+            i = low
+            while carry:  # saturation += 1 on the newly covered bits
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+                i -= 1
         if c > max_used:
             max_used = c
+        if left:
+            opened = depth
         depth += 1
-    vertices = [order[p] for p in stack_pos]
-    witness = dict(sorted(zip(vertices, stack_color)))
+    witness = dict(sorted((order[b.bit_length() - 1], c) for b, c, *_ in stack))
     return ColorDecision("yes", witness=witness, backtracks=backtracks)
 
 
@@ -273,6 +302,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     lower = len(clique)
     witness = greedy_bound(g)
     upper = count_colors(witness)
+    backtracks = 0
 
     for k in range(upper - 1, lower - 1, -1):
         if time.monotonic() >= deadline:
@@ -280,12 +310,13 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
         else:
             decision = _search(adjm, order, k, clique, deadline,
                                cfg.backtrack_check_interval)
+        backtracks += decision.backtracks
         if decision.status == "timeout":
-            return ChromaticResult(
-                upper, witness, tuple(clique), "timeout_with_bounds", lower, upper
-            )
+            return ChromaticResult(upper, witness, tuple(clique),
+                                   "timeout_with_bounds", lower, upper, backtracks)
         if decision.status == "no":
             break
         witness = decision.witness or {}
         upper = k
-    return ChromaticResult(upper, witness, tuple(clique), "exact", upper, upper)
+    return ChromaticResult(upper, witness, tuple(clique), "exact", upper, upper,
+                           backtracks)

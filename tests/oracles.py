@@ -4,9 +4,11 @@ Everything here works by exhaustive enumeration directly from definitions;
 the library must agree with these on small instances.
 """
 
+import time
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from chordcrit.criticality import (
 )
 from chordcrit.families import chord_label, gn, gn_chords
 from chordcrit.graph import Edge, Graph, build_graph, edge
+from chordcrit.solver import ColorDecision
 from helpers import gn_edge_arrays
 
 
@@ -402,6 +405,109 @@ def max_key_clique(g: Graph, adjm: list[int], order) -> list[int]:
         clique.append(order[q])
         cands &= adjm[q]
     return sorted(clique)
+
+
+# The search loop as it stood before its dead ends were read from the
+# saturation and its backtrack chains skipped in one step: it pops one
+# depth per backtrack and rescans the colours at each.  solver._search
+# must give the same status, backtrack count and witness on every input.
+def reference_search(
+    adjm: Sequence[int], order: list[int], k: int, clique: list[int],
+    deadline: float, interval: int,
+) -> ColorDecision:
+    """``is_k_colorable`` for any graph and k >= 0, given a clique of it.
+
+    The graph is ``_masks(g, order)``: vertex order[p] sits at position p.
+    Each depth colours the uncoloured position of maximum saturation, the
+    least one on ties, except that depth d < len(clique) takes ``clique[d]``,
+    which first fit gives colour d.  forb[c] masks the positions with a
+    neighbour coloured c (no colour reaches n, so there are min(k, n) of
+    them) and stack_new[d] the bits depth d's colour added to it; bit p of
+    planes[i] is bit i of p's saturation.  Each step picks a position and
+    gives it its first free colour.  When there is none, the inner loop
+    backtracks: it steps up a depth, proving "no" once it leaves the clique
+    prefix, takes that depth's colour off and tries the next free one.
+    ``deadline`` is a ``time.monotonic()`` value, read once per ``interval``
+    backtracks.
+    """
+    if len(clique) > k:
+        return ColorDecision("no")
+
+    n = len(adjm)
+    fixed = len(clique)
+    prefix = [order.index(v) for v in clique]
+    forb = [0] * min(k, n)
+    planes = [0] * min(k, n).bit_length()
+    uncolored = (1 << n) - 1
+    stack_pos = [0] * n
+    stack_color = [0] * n
+    stack_new = [0] * n
+    stack_prev_max = [0] * n
+
+    top = k - 1
+    max_used = -1
+    depth = 0
+    next_check = interval
+    backtracks = 0
+    while depth < n:
+        if depth < fixed:
+            p = prefix[depth]
+        else:
+            cand = uncolored
+            for plane in reversed(planes):
+                if cand & plane:
+                    cand &= plane
+            p = (cand & -cand).bit_length() - 1
+        bit = 1 << p
+        limit = max_used + 1 if max_used < top else top
+        c = 0
+        while c <= limit and forb[c] & bit:
+            c += 1
+        while c > limit:  # no free colour: backtrack until one is found
+            backtracks += 1
+            if backtracks == next_check:
+                if time.monotonic() >= deadline:
+                    return ColorDecision("timeout", backtracks=backtracks)
+                next_check += interval
+            depth -= 1
+            if depth < fixed:
+                return ColorDecision("no", backtracks=backtracks)
+            p = stack_pos[depth]
+            c = stack_color[depth]
+            borrow = stack_new[depth]
+            forb[c] ^= borrow
+            i = 0
+            while borrow:  # saturation -= 1 on the bits c had added
+                plane = planes[i]
+                planes[i] = plane ^ borrow
+                borrow &= ~plane
+                i += 1
+            bit = 1 << p
+            uncolored |= bit
+            max_used = stack_prev_max[depth]
+            limit = max_used + 1 if max_used < top else top
+            c += 1
+            while c <= limit and forb[c] & bit:
+                c += 1
+        uncolored ^= bit
+        stack_pos[depth] = p
+        stack_color[depth] = c
+        stack_prev_max[depth] = max_used
+        carry = adjm[p] & ~forb[c]
+        forb[c] |= carry
+        stack_new[depth] = carry
+        i = 0
+        while carry:  # saturation += 1 on the newly covered bits
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+        if c > max_used:
+            max_used = c
+        depth += 1
+    vertices = [order[p] for p in stack_pos]
+    witness = dict(sorted(zip(vertices, stack_color)))
+    return ColorDecision("yes", witness=witness, backtracks=backtracks)
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:

@@ -1,7 +1,10 @@
 import hashlib
+import itertools
+import math
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,12 @@ from helpers import (
     sha256,
     small_corpus,
 )
-from oracles import brute_chromatic, brute_is_k_colorable, max_key_clique
+from oracles import (
+    brute_chromatic,
+    brute_is_k_colorable,
+    max_key_clique,
+    reference_search,
+)
 
 
 def test_greedy_bound_is_proper():
@@ -242,13 +250,16 @@ def test_timeout_is_distinct_from_no():
     assert out.status == "timeout"
 
 
-@pytest.mark.parametrize("interval", [1, 100, 1000, 5000])
+@pytest.mark.parametrize("interval", [1, 2, 3, 7, 13, 100, 1000, 4999, 5000, 5292])
 def test_clock_read_every_check_interval(interval):
     # The proof that G_10 is not 7-colourable takes 5291 backtracks, and the
-    # budget has run out by the first clock read.
+    # budget has run out by the first clock read.  A dead end adds a whole
+    # chain of backtracks at once, so most multiples fall inside one.  Past
+    # the last backtrack no clock is read, and the proof stands.
     cfg = SolverConfig(time_budget=1e-9, backtrack_check_interval=interval)
     out = is_k_colorable(gn(10), 7, cfg)
-    assert (out.status, out.backtracks) == ("timeout", interval)
+    expected = ("timeout", interval) if interval <= 5291 else ("no", 5291)
+    assert (out.status, out.backtracks) == expected
 
 
 def test_timeout_overshoot_is_bounded():
@@ -390,6 +401,8 @@ PINNED_TRACES = {
     ("gn", 10, 7, 1): ("no", 5296, None),
     ("gn", 10, 8, 0): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
     ("gn", 10, 8, 1): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
+    # The longest proof here, with the longest backtrack chains.
+    ("gn", 11, 8, 0): ("no", 260380, None),
     ("sg", 6, 3, 0): ("no", 9, None),
     ("sg", 6, 3, 1): ("no", 7, None),
     ("sg", 6, 4, 0): ("yes", 0, "af1c1ba8befea56cadcec8775e8a010e20da63fb047e91c527656a080baf224e"),
@@ -415,3 +428,69 @@ def test_search_trace_is_pinned():
         out = is_k_colorable(graphs[family, n], k, SolverConfig(seed=seed))
         got = (out.status, out.backtracks, _witness_digest(out.witness))
         assert got == expected, (family, n, k, seed)
+
+
+def _reference_cases():
+    # Each G_n - e under one of the seeds 0..2 in turn; the rest under all.
+    cases = [(delete_edge(gn(n), e), i % 3)
+             for n in range(4, 10) for i, e in enumerate(gn(n).edges())]
+    others = ([schrijver(n, 2) for n in range(4, 9)]
+              + [mycielski_iter(j) for j in range(2, 6)]
+              + [edgeless_graph(0), edgeless_graph(5)])
+    return cases + [(g, seed) for g in others for seed in range(3)]
+
+
+def _both_searches(adjm, order, k, clique, deadline=math.inf, interval=1_024):
+    args = (adjm, order, k, clique, deadline, interval)
+    return [(out.status, out.backtracks, out.witness)
+            for out in (solver._search(*args), reference_search(*args))]
+
+
+def test_search_matches_reference_loop():
+    # The jump over a backtrack chain and the reference loop's one pop per
+    # backtrack walk the same tree: same status, count and witness, with the
+    # clique prefix and without it.
+    for g, seed in _reference_cases():
+        order = solver._order(g, seed)
+        adjm = solver._masks(g, order)
+        clique = solver._clique(g, adjm, order)
+        for k in range(9):
+            for prefix in (clique, []):
+                new, old = _both_searches(adjm, order, k, prefix)
+                assert new == old, (g.n, g.edge_count, seed, k, len(prefix))
+        # The greedy form: ties by id, 1 + max degree colours, no clique.
+        order = sorted(range(g.n), key=g.degree, reverse=True)
+        k = 1 + max(map(g.degree, range(g.n)), default=0)
+        new, old = _both_searches(solver._masks(g, order), order, k, [])
+        assert new == old, (g.n, g.edge_count, "greedy")
+
+
+def test_search_timeouts_match_reference_loop():
+    # A deadline already past times out at the first multiple of the
+    # interval the count reaches; past the last backtrack (869) it is "no".
+    g = gn(9)
+    order = solver._order(g, 0)
+    adjm = solver._masks(g, order)
+    clique = solver._clique(g, adjm, order)
+    for interval in [*range(1, 80), 868, 869, 870]:
+        new, old = _both_searches(adjm, order, 6, clique, 0.0, interval)
+        assert new == old, interval
+        assert new[:2] == (("timeout", interval) if interval <= 869 else ("no", 869))
+
+
+@pytest.mark.parametrize("n,backtracks", [(9, 869), (10, 5291)])
+def test_chromatic_number_reports_backtracks(n, backtracks):
+    # The greedy bound is n - 2, so the only search is the "no" at n - 3.
+    res = chromatic_number(gn(n))
+    assert (res.chi, res.status, res.backtracks) == (n - 2, "exact", backtracks)
+
+
+def test_chromatic_number_counts_a_timed_out_search(monkeypatch):
+    # A clock that moves one second per read: the call starts at 0 with a
+    # 2.5 s budget, the k = 7 search of G_10 starts at 1, and its clock
+    # reads at 1000 and 2000 backtracks see 2 and 3.
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    cfg = SolverConfig(time_budget=2.5, backtrack_check_interval=1000)
+    res = chromatic_number(gn(10), cfg)
+    assert (res.status, res.backtracks) == ("timeout_with_bounds", 2000)
