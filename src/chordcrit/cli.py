@@ -8,6 +8,7 @@ timing), so reports can be golden-file tested.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -171,8 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":

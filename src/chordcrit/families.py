@@ -85,7 +85,10 @@ def validate_chord(p: Chord, n: int) -> Chord:
 def chord_label(elems: tuple[int, ...]) -> str:
     """Label for a chord, or any increasing tuple of elements: '26' or '135'
     when every element is a single digit, '2-13' otherwise."""
-    return ("" if elems[-1] < 10 else "-").join(map(str, elems))
+    if len(elems) != 2:
+        return ("" if elems[-1] < 10 else "-").join(map(str, elems))
+    a, b = elems  # a chord: one f-string, about half the time of the join
+    return f"{a}-{b}" if b > 9 else f"{a}{b}"
 
 
 def parse_chord(text: str, n: int) -> Chord:

@@ -26,10 +26,15 @@ per vertex, a mask per colour of the vertices it is forbidden to, and
 saturation as binary bit planes, whose top-down narrowing of the uncoloured
 set leaves the next pick as its lowest bit and its saturation as the bits
 it narrowed on.  That saturation tells whether the pick has a free colour,
-and how many more its depth has to try, without a scan.  So a dead end
-needs no colour scan, and it goes back in one step to the deepest depth
-with a colour left, counting one backtrack for each depth it leaves, just
-as a search that steps up one depth at a time would.  The neighbourhood
+and how many more its depth has to try, without a scan.  A dead end jumps
+back by conflict-directed backjumping (Prosser 1993): it blames the depths
+whose colours forbade the pick its colours, goes back in one step to the
+deepest of them, past depths whose other colours could not help, and
+counts one backtrack for each depth it leaves.  Each depth it leaves with
+no colour to try passes its own blamed depths on.  The jumps skip only
+branches that hold no colouring, so the search returns the status and
+witness of one that steps up one depth at a time, in no more backtracks:
+G_10's "no" at k = 7 takes 1,685 of them, against 5,291.  The neighbourhood
 masks are ``Graph.rows`` permuted into that order, built once per call; the
 clique is grown on them and every search of the call reads them.
 ``greedy_bound`` breaks ties by vertex id, so it builds its own.
@@ -45,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Coloring, Graph, bits, count_colors, pack, unpack
+from .graph import Coloring, Graph, count_colors, pack, unpack
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class SolverConfig:
     time_budget: float = 60.0
     seed: int = 0
     # Timeout granularity: the wall clock is read once per this many
-    # backtracks, never per node (about every 1.5 ms at 1024: G_11's
-    # 260,380 backtracks take ~0.4 s on a 2-vCPU Xeon).
+    # backtracks, never per node (every 2-5 ms at 1024: G_11's 13,438
+    # backtracks take ~0.05 s, G_12's 45,177 ~0.2 s on a 2-vCPU Xeon).
     backtrack_check_interval: int = 1_024
 
     def __post_init__(self) -> None:
@@ -119,13 +124,23 @@ def _clique(g: Graph, adjm: Sequence[int], order: Sequence[int]) -> list[int]:
     Every vertex starts as a candidate, so the first step picks the vertex
     of highest degree, then lowest id.  Returns sorted vertex ids.
     """
-    degree = [g.degree(v) for v in order]
+    n = g.n
+    # The key (neighbours among the candidates, degree, -id) as one int:
+    # degree * n + n - 1 - id is below n * n, and distinct for each vertex.
+    span = n * n
+    tie = [g.degree(v) * n + n - 1 - v for v in order]
     clique = []
-    cands = (1 << g.n) - 1
+    cands = (1 << n) - 1
     while cands:
-        # The keys differ in -order[p], so the trailing p is never compared.
-        q = max(((adjm[p] & cands).bit_count(), degree[p], -order[p], p)
-                for p in bits(cands))[-1]
+        best = -1
+        rest = cands
+        while rest:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            key = (adjm[p] & cands).bit_count() * span + tie[p]
+            if key > best:
+                best, q = key, p
+            rest ^= low
         clique.append(order[q])
         cands &= adjm[q]
     return sorted(clique)
@@ -180,33 +195,53 @@ def _search(
     them), and bit p of planes[0], planes[1], ... spells p's saturation from
     its highest bit down.  Each depth gives its pick the first free colour
     up to ``limit``, one past the highest colour used but at most k - 1.
-    Three facts make a node cheap:
+    The narrowing over the planes that finds the pick also yields its
+    saturation ``sat``, the number of its forbidden colours in 0..limit
+    (forb[c] is zero for c > max_used), so it has a free colour iff
+    sat <= limit, and its depth has limit - sat colours left above the one
+    it takes: none in the clique prefix, whose colour is its depth.
 
-    1. A dead end shows in the saturation.  forb[c] is zero for every
-       c > max_used, so the pick's saturation ``sat``, which the top-down
-       narrowing over the planes yields one bit per plane, counts its
-       forbidden colours in 0..limit.  It has a free colour iff
-       sat <= limit: then the first-fit scan needs no bound, else no scan.
-    2. The colours left at a depth are known when it is placed.  The search
-       returns to depth d in exactly the state it had just before d was
-       placed, so d has limit - sat free colours above the one it took:
-       none in the clique prefix, whose colour is its depth.
-    3. A dead end at depth D jumps in one step.  It resumes at the deepest
-       depth a >= len(clique) with a colour left, where it takes the next
-       free colour, and adds D - a backtracks: the pops a loop that steps up
-       one depth per backtrack makes.  With no such depth it adds
-       D - len(clique) + 1 and proves "no".
+    Backtracking jumps by conflict sets (conflict-directed backjumping,
+    Prosser 1993).  stack[d] is (bit of p, c, colours left, carry, then
+    max_used, planes and uncolored as they were before d was placed); carry
+    is the bits d's colour added to forb[c], so each colour forbidden to a
+    position is blamed on the one depth whose carry holds its bit.
+    ``_blame`` scans the carries for them, at dead ends only, and skips the
+    clique prefix, which no jump resumes.  conflicts[d] masks depths below
+    d and is zero when d is placed.
 
-    stack[d] is (bit of p, c, colours left, carry, then max_used, planes,
-    uncolored and the deepest depth with a colour left as they were before
-    d was placed); carry is the bits d's colour added to forb[c].  A jump
-    undoes forb by XOR over the popped entries and takes the rest back from
-    the resumed one, so planes is copied on write, when carry is non-zero.
-    ``deadline`` is a ``time.monotonic()`` value, read while the backtrack
-    count is at or past the next multiple of ``interval``.  A timeout
-    reports that multiple, the count at which the one-pop loop reads the
-    clock, so neither the interval nor the jumps change a status, witness or
-    backtrack count.
+    - A dead end comes only once all k colours are used (sat is at most
+      max_used + 1), and it blames one depth per colour.
+    - It resumes at the deepest blamed depth a, which merges the other
+      blamed depths into conflicts[a] and takes its next free colour.
+    - If a has no colour left, it passes on the other blamed depths,
+      conflicts[a] and the depths its own pick blames, and the jump goes on
+      from the deepest of them.
+    - With no blamed depth left, the answer is "no".
+
+    Each such set, with the clique prefix, is a nogood: no proper
+    k-colouring gives the vertices at the prefix and at its depths the
+    colours they have now.  At a dead end each colour of the pick is on a
+    neighbour at one of those depths.  A depth a with no colour left had
+    each colour up to limit either forbidden by a depth it blames or
+    refuted by a nogood made of a, the prefix and depths in conflicts[a].
+    A colour above limit, hidden by the canonical cap, is unused below a,
+    and so is limit itself, which was tried: swapping the two in a
+    colouring that agrees with the passed set keeps it agreeing and gives
+    a's vertex the refuted colour.  With no blamed depth left the prefix
+    alone is a nogood, and any colouring can be relabelled to give the
+    clique the prefix's colours, so the answer is "no".  So every branch
+    jumped over lies under a nogood and holds no colouring, and the search
+    visits part of the tree of the loop that steps up one depth at a time,
+    in its order: the status and witness are that loop's, and the backtrack
+    count, the depths popped plus one for a "no", is at most the loop's.
+
+    A jump undoes forb by XOR over the popped entries and takes the rest
+    back from the resumed one, so planes is copied on write, when carry is
+    non-zero.  ``deadline`` is a ``time.monotonic()`` value, read while the
+    backtrack count is at or past the next multiple of ``interval``; a
+    timeout reports that multiple.  The interval changes no status, witness
+    or backtrack count.
     """
     if len(clique) > k:
         return ColorDecision("no")
@@ -219,10 +254,10 @@ def _search(
     low = len(planes) - 1
     uncolored = (1 << n) - 1
     stack = []
+    conflicts = [0] * n  # zero at every depth not on the stack
 
     top = k - 1
     max_used = -1
-    opened = -1  # the deepest depth with a colour left, -1 if none
     depth = 0
     next_check = interval
     backtracks = 0
@@ -248,25 +283,33 @@ def _search(
                 while forb[c] & bit:
                     c += 1
                 left = limit - sat
-            else:  # dead end: resume at the deepest depth with a colour left
-                backtracks += depth - max(opened, fixed - 1)
+            else:  # dead end: jump to the deepest depth it blames
+                blamed = _blame(stack, fixed, depth, cand & -cand)
+                to = blamed.bit_length() - 1
+                while to >= fixed and not stack[to][2]:  # no colour left
+                    blamed ^= 1 << to
+                    blamed |= conflicts[to] | _blame(stack, fixed, to, stack[to][0])
+                    to = blamed.bit_length() - 1
+                backtracks += depth - max(to, fixed - 1)
                 while backtracks >= next_check:
                     if time.monotonic() >= deadline:
                         return ColorDecision("timeout", backtracks=next_check)
                     next_check += interval
-                if opened < 0:
+                if to < fixed:
                     return ColorDecision("no", backtracks=backtracks)
-                depth = opened
-                for entry in stack[depth:]:
+                conflicts[to] |= blamed ^ 1 << to
+                conflicts[to + 1:depth] = [0] * (depth - to - 1)
+                for entry in stack[to:]:
                     forb[entry[1]] ^= entry[3]
-                bit, c, left, _, max_used, planes, uncolored, opened = stack[depth]
-                del stack[depth:]
+                bit, c, left, _, max_used, planes, uncolored = stack[to]
+                del stack[to:]
+                depth = to
                 c += 1
                 while forb[c] & bit:
                     c += 1
                 left -= 1
         carry = adjm[bit.bit_length() - 1] & ~forb[c]
-        stack.append((bit, c, left, carry, max_used, planes, uncolored, opened))
+        stack.append((bit, c, left, carry, max_used, planes, uncolored))
         uncolored ^= bit
         if carry:
             forb[c] |= carry
@@ -279,11 +322,19 @@ def _search(
                 i -= 1
         if c > max_used:
             max_used = c
-        if left:
-            opened = depth
         depth += 1
     witness = dict(sorted((order[b.bit_length() - 1], c) for b, c, *_ in stack))
     return ColorDecision("yes", witness=witness, backtracks=backtracks)
+
+
+def _blame(stack: list[tuple], fixed: int, depth: int, bit: int) -> int:
+    """The depths in fixed..depth-1 whose colour first forbade it to ``bit``,
+    one per colour forbidden to it, as a mask: those whose carry holds it."""
+    blamed = 0
+    for d in range(fixed, depth):
+        if stack[d][3] & bit:
+            blamed |= 1 << d
+    return blamed
 
 
 def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResult:

@@ -408,9 +408,9 @@ def max_key_clique(g: Graph, adjm: list[int], order) -> list[int]:
 
 
 # The search loop as it stood before its dead ends were read from the
-# saturation and its backtrack chains skipped in one step: it pops one
-# depth per backtrack and rescans the colours at each.  solver._search
-# must give the same status, backtrack count and witness on every input.
+# saturation and it jumped back by conflict sets: it pops one depth per
+# backtrack and rescans the colours at each.  solver._search must give the
+# same status and witness on every input, with no more backtracks.
 def reference_search(
     adjm: Sequence[int], order: list[int], k: int, clique: list[int],
     deadline: float, interval: int,

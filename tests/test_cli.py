@@ -1,5 +1,6 @@
 import pytest
 
+from chordcrit import cli
 from chordcrit.cli import EXIT_OK, EXIT_PARAM, EXIT_TIMEOUT, EXIT_VERIFY_FAIL, _exit_code, main
 from chordcrit.criticality import verify_edge_criticality
 from chordcrit.graph import parse_graph
@@ -72,8 +73,8 @@ def test_verify_edge_critical_with_solver(capsys):
 
 
 def test_verify_edge_critical_solver_timeout_exit_code(capsys):
-    # the unsatisfiability proof at n=12 takes millions of backtracks, so it
-    # cannot finish before the solver's first clock read
+    # the unsatisfiability proof at n=12 takes 45k backtracks, so it cannot
+    # finish before the solver's first clock read, at 1,024
     code, out, _ = run(
         capsys, "verify", "edge-critical", "--n", "12", "--with-solver",
         "--budget-seconds", "1e-9",
@@ -198,3 +199,33 @@ def test_exit_code_mapping():
     assert _exit_code(False) == EXIT_VERIFY_FAIL
     assert _exit_code(True, timed_out=True) == EXIT_TIMEOUT
     assert _exit_code(False, timed_out=True) == EXIT_TIMEOUT
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    """Calls in one process share a parser and give what a first call does."""
+    out_path = tmp_path / "chi.txt"
+    calls = [["generate", "gn"],
+             ["verify", "chromatic", "--n", "5", "--out", str(out_path)],
+             ["verify", "chromatic", "--n", "5"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == first
+    assert cli._parser.cache_info().misses == 1
+    assert first[0][0] == EXIT_PARAM and "--n is required" in first[0][2]
+    assert first[1] == (EXIT_OK, "", "", "chi(G_5) = 3 expected 3 [exact]\n")
+    assert first[2] == (EXIT_OK, "chi(G_5) = 3 expected 3 [exact]\n", "", None)
+    assert cli.build_parser() is not cli._parser()

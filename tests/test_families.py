@@ -295,6 +295,20 @@ def test_gn_edges_join_disjoint_chords(n):
         assert not set(chords[e.u]) & set(chords[e.v])
 
 
+def test_chord_labels_match_the_joined_elements():
+    def joined(elems):
+        return ("" if elems[-1] < 10 else "-").join(map(str, elems))
+
+    for n in range(4, 41):
+        for p in gn_chords(n):
+            assert chord_label(p) == joined(p), p
+    for n, k in ((5, 1), (7, 3), (12, 3), (14, 4), (11, 5)):
+        for s in stable_subsets(n, k):
+            assert chord_label(s) == joined(s), s
+    assert [chord_label(s) for s in ((1, 3, 5), (2, 13), (9, 10), (1, 9))] == [
+        "135", "2-13", "9-10", "19"]
+
+
 def test_chord_labels():
     assert chord_label((2, 6)) == "26"
     assert chord_label((2, 13)) == "2-13"

@@ -11,7 +11,7 @@ import pytest
 
 from chordcrit import solver
 from chordcrit.families import gn, kneser, mycielski_iter, schrijver
-from chordcrit.graph import count_colors, delete_edge, is_proper_coloring
+from chordcrit.graph import build_graph, count_colors, delete_edge, is_proper_coloring
 from chordcrit.solver import (
     SolverConfig,
     chromatic_number,
@@ -250,21 +250,23 @@ def test_timeout_is_distinct_from_no():
     assert out.status == "timeout"
 
 
-@pytest.mark.parametrize("interval", [1, 2, 3, 7, 13, 100, 1000, 4999, 5000, 5292])
+@pytest.mark.parametrize(
+    "interval", [1, 2, 3, 7, 13, 100, 1000, 1684, 1685, 1686, 4999, 5000, 5292])
 def test_clock_read_every_check_interval(interval):
-    # The proof that G_10 is not 7-colourable takes 5291 backtracks, and the
-    # budget has run out by the first clock read.  A dead end adds a whole
-    # chain of backtracks at once, so most multiples fall inside one.  Past
-    # the last backtrack no clock is read, and the proof stands.
+    # The proof that G_10 is not 7-colourable takes 1685 backtracks, and the
+    # budget has run out by the first clock read.  A jump adds all the depths
+    # it pops at once, so most multiples fall inside one.  Past the last
+    # backtrack no clock is read, and the proof stands.
     cfg = SolverConfig(time_budget=1e-9, backtrack_check_interval=interval)
     out = is_k_colorable(gn(10), 7, cfg)
-    expected = ("timeout", interval) if interval <= 5291 else ("no", 5291)
+    expected = ("timeout", interval) if interval <= 1685 else ("no", 1685)
     assert (out.status, out.backtracks) == expected
 
 
 def test_timeout_overshoot_is_bounded():
-    # G_12 is not 9-colourable, and its proof needs millions of backtracks,
-    # so the search must stop at a clock read of the default check interval.
+    # G_12 is not 9-colourable, and its proof needs 45k backtracks, far more
+    # than 0.01 s of search, so the search must stop at a clock read of the
+    # default check interval.
     g = gn(12)
     start = time.monotonic()
     out = is_k_colorable(g, 9, SolverConfig(time_budget=0.01))
@@ -373,9 +375,10 @@ def test_solver_config_validation():
 
 
 # (family, n, k, seed) -> (status, backtracks, sha256 of the sorted witness),
-# recorded from the numpy search kernel that the list-based one replaced.
-# Any change to the vertex pick, the colour order, the clique pre-assignment
-# or the backtrack accounting shows up here.
+# recorded from the numpy search kernel that the list-based one replaced; the
+# backtrack counts were re-recorded when the search began to jump back by
+# conflict sets.  Any change to the vertex pick, the colour order, the clique
+# pre-assignment, the conflict sets or the backtrack accounting shows up here.
 PINNED_TRACES = {
     ("gn", 5, 2, 0): ("no", 3, None),
     ("gn", 5, 2, 1): ("no", 3, None),
@@ -386,23 +389,24 @@ PINNED_TRACES = {
     ("gn", 6, 4, 0): ("yes", 0, "9a5761c3645d723b4bc35876a3797fcf2d153149c3baa7089ce63c8afddbf023"),
     ("gn", 6, 4, 1): ("yes", 0, "0f2c312d70aec179131119474b9ce71ed21b2cdcd7d3752a246b75cd72fc4756"),
     ("gn", 7, 4, 0): ("no", 27, None),
-    ("gn", 7, 4, 1): ("no", 39, None),
+    ("gn", 7, 4, 1): ("no", 34, None),
     ("gn", 7, 5, 0): ("yes", 0, "62540a7c5c3ae5b33a3c9a6a636098e7795e825da63fcc7931b0623a4ac879e5"),
     ("gn", 7, 5, 1): ("yes", 0, "fdbbc8b9d089092596a84db23a23cd289a24fdce94bb58043e91ac1e199d6ff4"),
-    ("gn", 8, 5, 0): ("no", 134, None),
-    ("gn", 8, 5, 1): ("no", 134, None),
+    ("gn", 8, 5, 0): ("no", 102, None),
+    ("gn", 8, 5, 1): ("no", 102, None),
     ("gn", 8, 6, 0): ("yes", 0, "2dcb7e8b045a4c538bae89117100f619930a5922f4a5943a08ee15bc25f5523e"),
     ("gn", 8, 6, 1): ("yes", 0, "970cbe7df465288ef0fb269310aa729979df404a4640a2fc288ffd17cda32a5b"),
-    ("gn", 9, 6, 0): ("no", 869, None),
-    ("gn", 9, 6, 1): ("no", 934, None),
+    ("gn", 9, 6, 0): ("no", 496, None),
+    ("gn", 9, 6, 1): ("no", 539, None),
     ("gn", 9, 7, 0): ("yes", 0, "b10ea5f8fd02e12f4d4193e1b43f25d0b2a061acc5a634fa815523042cf88411"),
     ("gn", 9, 7, 1): ("yes", 0, "a86189e02b39c56ce6e45e6f6cc7d87c77c4ee0c3f6d72a2f593d90142d3944e"),
-    ("gn", 10, 7, 0): ("no", 5291, None),
-    ("gn", 10, 7, 1): ("no", 5296, None),
+    ("gn", 10, 7, 0): ("no", 1685, None),
+    ("gn", 10, 7, 1): ("no", 1748, None),
     ("gn", 10, 8, 0): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
     ("gn", 10, 8, 1): ("yes", 0, "01ac4deb8aece260662e7410b4d95618ebcd150d86d2b4dfdcbda3dd67b60e11"),
-    # The longest proof here, with the longest backtrack chains.
-    ("gn", 11, 8, 0): ("no", 260380, None),
+    # The longest proofs here, with the longest jumps.
+    ("gn", 11, 8, 0): ("no", 13438, None),
+    ("gn", 12, 9, 0): ("no", 45177, None),
     ("sg", 6, 3, 0): ("no", 9, None),
     ("sg", 6, 3, 1): ("no", 7, None),
     ("sg", 6, 4, 0): ("yes", 0, "af1c1ba8befea56cadcec8775e8a010e20da63fb047e91c527656a080baf224e"),
@@ -446,39 +450,78 @@ def _both_searches(adjm, order, k, clique, deadline=math.inf, interval=1_024):
             for out in (solver._search(*args), reference_search(*args))]
 
 
+def _assert_jumps_within_reference(adjm, order, k, clique):
+    """The backjumping search visits part of the reference loop's tree in
+    its order: the same status and witness, and no more backtracks.
+    Returns the backtracks it saved."""
+    (status, count, witness), old = _both_searches(adjm, order, k, clique)
+    assert (status, witness) == (old[0], old[2]), (k, len(clique))
+    assert count <= old[1], (k, len(clique))
+    return old[1] - count
+
+
 def test_search_matches_reference_loop():
-    # The jump over a backtrack chain and the reference loop's one pop per
-    # backtrack walk the same tree: same status, count and witness, with the
-    # clique prefix and without it.
+    # With the clique prefix and without it.
     for g, seed in _reference_cases():
         order = solver._order(g, seed)
         adjm = solver._masks(g, order)
         clique = solver._clique(g, adjm, order)
         for k in range(9):
             for prefix in (clique, []):
-                new, old = _both_searches(adjm, order, k, prefix)
-                assert new == old, (g.n, g.edge_count, seed, k, len(prefix))
+                _assert_jumps_within_reference(adjm, order, k, prefix)
         # The greedy form: ties by id, 1 + max degree colours, no clique.
         order = sorted(range(g.n), key=g.degree, reverse=True)
         k = 1 + max(map(g.degree, range(g.n)), default=0)
         new, old = _both_searches(solver._masks(g, order), order, k, [])
-        assert new == old, (g.n, g.edge_count, "greedy")
+        assert new == old and new[1] == 0, (g.n, g.edge_count, "greedy")
+
+
+def _gnp(n, p, rng):
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return build_graph([f"r{i}" for i in range(n)], edges)
+
+
+def test_search_matches_reference_loop_on_random_graphs():
+    # A conflict set that blames too few depths jumps over a colouring and
+    # shows here as a wrong "no" or another witness.  Six G(n, p) per n and p
+    # for n = 6..14, at every k up to 8; so small, they are decided with
+    # few dead ends and no search among them jumps.  Two G(n, p) per n and
+    # p for n = 20..39 at the k just above their clique, where 135 do.
+    saved = 0
+    for sizes, draws, ks in ((range(6, 15), 6, lambda q: range(9)),
+                             (range(20, 40), 2, lambda q: range(q, q + 4))):
+        for n, p in itertools.product(sizes, (0.3, 0.5, 0.7)):
+            rng = random.Random(f"{n}:{p}")
+            for _ in range(draws):
+                g = _gnp(n, p, rng)
+                for seed in (0, 1):
+                    order = solver._order(g, seed)
+                    adjm = solver._masks(g, order)
+                    clique = solver._clique(g, adjm, order)
+                    for k in ks(len(clique)):
+                        for prefix in (clique, []):
+                            saved += _assert_jumps_within_reference(
+                                adjm, order, k, prefix)
+    assert saved > 0
 
 
 def test_search_timeouts_match_reference_loop():
     # A deadline already past times out at the first multiple of the
-    # interval the count reaches; past the last backtrack (869) it is "no".
+    # interval the count reaches, as the reference loop does; past the last
+    # backtrack (496; the reference loop takes 869) it is "no".
     g = gn(9)
     order = solver._order(g, 0)
     adjm = solver._masks(g, order)
     clique = solver._clique(g, adjm, order)
-    for interval in [*range(1, 80), 868, 869, 870]:
+    for interval in [*range(1, 80), 495, 496, 497]:
         new, old = _both_searches(adjm, order, 6, clique, 0.0, interval)
-        assert new == old, interval
-        assert new[:2] == (("timeout", interval) if interval <= 869 else ("no", 869))
+        if interval <= 496:
+            assert new == old == ("timeout", interval, None), interval
+        else:
+            assert new == ("no", 496, None), interval
 
 
-@pytest.mark.parametrize("n,backtracks", [(9, 869), (10, 5291)])
+@pytest.mark.parametrize("n,backtracks", [(9, 496), (10, 1685)])
 def test_chromatic_number_reports_backtracks(n, backtracks):
     # The greedy bound is n - 2, so the only search is the "no" at n - 3.
     res = chromatic_number(gn(n))
@@ -488,9 +531,9 @@ def test_chromatic_number_reports_backtracks(n, backtracks):
 def test_chromatic_number_counts_a_timed_out_search(monkeypatch):
     # A clock that moves one second per read: the call starts at 0 with a
     # 2.5 s budget, the k = 7 search of G_10 starts at 1, and its clock
-    # reads at 1000 and 2000 backtracks see 2 and 3.
+    # reads at 500 and 1000 backtracks see 2 and 3.
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    cfg = SolverConfig(time_budget=2.5, backtrack_check_interval=1000)
+    cfg = SolverConfig(time_budget=2.5, backtrack_check_interval=500)
     res = chromatic_number(gn(10), cfg)
-    assert (res.status, res.backtracks) == ("timeout_with_bounds", 2000)
+    assert (res.status, res.backtracks) == ("timeout_with_bounds", 1000)
