@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_diagram(args)
-    except (InvalidParametersError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidParametersError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

@@ -44,8 +44,9 @@ off that order:
 * colours used: the elements outside A that still colour a chord, and one
   per run of any other colour (``_count_colors``).
 
-``critical_coloring`` and ``CertificateColoring.colors_used`` are one-row
-views of the same construction and counting code.
+``critical_coloring`` is a one-row view of the same construction; its
+``CertificateColoring.colors_used`` is the plain count over the whole
+colouring, against which the tests check ``_count_colors``.
 
 ``verify_vertex_criticality`` makes one solver decision per deleted vertex.
 """
@@ -72,7 +73,7 @@ from .families import (
     is_stable_pair,
     validate_chord,
 )
-from .graph import Coloring, Graph, delete_vertex
+from .graph import Coloring, Graph, count_colors, delete_vertex
 from .solver import SolverConfig, chromatic_number, is_k_colorable
 
 
@@ -126,19 +127,12 @@ def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
     if not all(1 <= x <= n for x in A):
         raise InvalidParametersError(f"A must be a subset of [{n}]")
     coloring: Coloring = {}
-    for i, p in enumerate(gn_chords(n)):
-        c = _min_color(p, A)
-        if c is not None:
-            coloring[i] = c
+    for i, (x, y) in enumerate(gn_chords(n)):
+        if x not in A:
+            coloring[i] = x
+        elif y not in A:
+            coloring[i] = y
     return coloring
-
-
-def _min_color(p: Chord, A: set[int]) -> int | None:
-    """min(p \\ A) for a chord p = (x, y), x < y; None when p is inside A."""
-    x, y = p
-    if x not in A:
-        return x
-    return y if y not in A else None
 
 
 # Row code -> case, in the batches.
@@ -186,14 +180,12 @@ _A_PAIRS = np.array([(s, t) for t in range(6) for s in range(t)]).T
 class _Batch(NamedTuple):
     """Certificates for the edges of a batch, one row per edge.
 
-    Row r is a certificate of case ``_CASES[case[r]]`` with interior element
-    ``x[r]`` (0 when its case has none) and anchor set ``A[r]``, increasing
-    and padded with 0.  Chord ``chord[i]`` has colour ``color[i]`` in row
-    ``row[i]``; each (row, chord) occurs at most once.
+    Row r is a certificate of case ``_CASES[case[r]]`` with anchor set
+    ``A[r]``, increasing and padded with 0.  Chord ``chord[i]`` has colour
+    ``color[i]`` in row ``row[i]``; each (row, chord) occurs at most once.
     """
 
     case: np.ndarray
-    x: np.ndarray
     A: np.ndarray
     row: np.ndarray
     chord: np.ndarray
@@ -226,18 +218,20 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
     row = k // lo.shape[1]
     chord = np.take(chord_base(n), lo.take(k)) + hi.take(k)
     color = _COLOR.take(case, axis=0).take(k) + n
-    x = np.where(case == 2, c + 1, 0)
-    return _Batch(case, x, A, row, chord, color)
+    return _Batch(case, A, row, chord, color)
 
 
 def _row_certificate(n: int, batch: _Batch, r: int) -> CertificateColoring:
-    """Row r of a batch as a CertificateColoring."""
+    """Row r of a batch as a CertificateColoring.  A transverse row's A is
+    (1, a, c, x, d, b), increasing, so its interior element x is A[3]."""
     mine = batch.row == r
+    case = _CASES[batch.case[r]]
+    A = tuple(e for e in batch.A[r].tolist() if e)
     return CertificateColoring(
         n,
-        _CASES[batch.case[r]],
-        int(batch.x[r]) or None,
-        tuple(e for e in batch.A[r].tolist() if e),
+        case,
+        A[3] if case is CriticalCase.TRANSVERSE else None,
+        A,
         dict(zip(batch.chord[mine].tolist(), batch.color[mine].tolist())),
     )
 
@@ -350,18 +344,8 @@ class CertificateColoring:
 
     @property
     def colors_used(self) -> int:
-        """Distinct colours, counted from A and the overrides alone."""
-        chords = gn_chords(self.n)
-        ends = np.array([chords[v] for v in self.overrides], dtype=np.int64)
-        inA = _membership(self.n, np.array([self.A], dtype=np.int64))
-        counts = _count_colors(self.n, inA, _sorted_overrides(
-            inA,
-            ends.reshape(-1, 2),
-            np.zeros(len(ends), dtype=np.int64),
-            np.arange(len(ends)),
-            np.fromiter(self.overrides.values(), dtype=np.int64, count=len(ends)),
-        ))
-        return int(counts[0])
+        """Distinct colours of the whole colouring."""
+        return count_colors(self.assignment)
 
 
 def critical_coloring(n: int, p: Chord, q: Chord) -> CertificateColoring:

@@ -11,6 +11,9 @@ import math
 from .families import Chord, chord_label, gn_chords, validate_chord
 from .graph import Coloring
 
+# Width and height of a diagram, in SVG user units.
+SIZE = 420
+
 
 def _point(i: int, n: int, cx: float, cy: float, r: float) -> tuple[float, float]:
     # Point 1 at the top, then clockwise.
@@ -34,7 +37,6 @@ def chord_diagram(
     n: int,
     chords: list[Chord],
     color_classes: dict[Chord, int] | None = None,
-    size: int = 420,
 ) -> str:
     """SVG for the given chords of the n-cycle.
 
@@ -42,11 +44,11 @@ def chord_diagram(
     a slightly thicker stroke.
     """
     chords = [validate_chord(p, n) for p in chords]
-    cx = cy = size / 2
-    r = size * 0.40
+    cx = cy = SIZE / 2
+    r = SIZE * 0.40
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="none" '
         f'stroke="#cccccc" stroke-width="1"/>',
     ]

@@ -18,8 +18,8 @@ Families built here:
 ``stable_subsets`` is the one enumeration of stable subsets (``gn_chords``
 is its k = 2 list), and ``is_stable_pair`` states the chord rule once, for
 ``validate_chord`` and the certificate code.  ``edge_pattern`` states the
-edge rule of ``gn`` once, for ``gn_adjacency`` and ``gn``,
-``classify_pair`` and the certificate code.
+edge rule of ``gn`` once, for ``gn``, ``classify_pair`` and the
+certificate code.
 """
 
 from __future__ import annotations
@@ -215,14 +215,6 @@ def _upper_adjacency(chords: tuple[Chord, ...]) -> np.ndarray:
     upper, transverse = edge_pattern(a[:, None], b[:, None], a, b)
     upper |= transverse
     return upper
-
-
-def gn_adjacency(n: int) -> np.ndarray:
-    """Adjacency of gn(n) as a symmetric V x V boolean matrix, in the vertex
-    order of ``gn_chords(n)``."""
-    adj = _upper_adjacency(gn_chords(n))
-    adj |= adj.T
-    return adj
 
 
 def gn(n: int) -> Graph:

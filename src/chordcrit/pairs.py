@@ -60,7 +60,11 @@ class PairCounts:
 
 def chord_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of all chords of the n-cycle, in vertex (lexicographic)
-    order: the two columns of ``gn_chords(n)``, as int64 arrays."""
+    order: the two columns of ``gn_chords(n)``, as int64 arrays.
+
+    No library code calls it.  It stays because the tests read it and the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
+    """
     lo, hi = np.array(gn_chords(n), dtype=np.int64).T
     return lo, hi
 

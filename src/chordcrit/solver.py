@@ -67,6 +67,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.time_budget > 0:  # also rejects NaN
             raise ValueError("time_budget must be positive")
+        # numpy's generator takes only a non-negative seed.
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be an int >= 0")
         interval = self.backtrack_check_interval
         # The search compares its backtrack count to multiples of this.
         if not isinstance(interval, int) or interval < 1:

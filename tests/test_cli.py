@@ -111,6 +111,15 @@ def test_verify_nan_budget_is_param_error(capsys):
     assert "time_budget" in err
 
 
+@pytest.mark.parametrize("target", ["chromatic", "ratio"])
+def test_negative_seed_is_param_error_naming_the_seed(capsys, target):
+    # Every verify target builds the solver config, so each rejects it.
+    code, out, err = run(capsys, "verify", target, "--n", "6", "--seed", "-1")
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert err == "error: seed must be an int >= 0\n"
+
+
 def test_unwritable_out_is_param_error(capsys, tmp_path):
     for out_path in (tmp_path, tmp_path / "missing" / "chi.txt"):
         code, out, err = run(
@@ -178,6 +187,15 @@ def test_diagram_certificate(capsys):
     code, out, _ = run(capsys, "diagram", "--n", "6", "--certificate-edge", "26,35")
     assert code == EXIT_OK
     assert out.count("<line") == 9
+
+
+@pytest.mark.parametrize("n, edge", [(6, "26,35"), (7, "14,36"), (8, "25,37")])
+def test_diagram_certificate_output_is_pinned(capsys, n, edge):
+    """One certificate diagram per case: transverse, crossing with 1 and
+    crossing without 1."""
+    code, out, _ = run(capsys, "diagram", "--n", str(n), "--certificate-edge", edge)
+    assert code == EXIT_OK
+    assert sha256(out) == PINNED["diagram_certificate"][f"{n}/{edge}"]
 
 
 def test_diagram_no_chords_is_param_error(capsys):

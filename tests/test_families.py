@@ -11,7 +11,6 @@ from chordcrit.families import (
     complete_pair,
     edge_pattern,
     gn,
-    gn_adjacency,
     gn_chords,
     is_stable_pair,
     kneser,
@@ -21,7 +20,13 @@ from chordcrit.families import (
     schrijver,
     stable_subsets,
 )
-from chordcrit.graph import EXPORT_FORMATS, build_graph, delete_vertex, export_graph
+from chordcrit.graph import (
+    EXPORT_FORMATS,
+    build_graph,
+    delete_vertex,
+    export_graph,
+    unpack,
+)
 from chordcrit.homomorphism import build_h, lower_bound_chain
 from chordcrit.pairs import chord_table, count_pairs
 
@@ -228,7 +233,7 @@ def test_is_stable_pair_on_ints_and_arrays_matches_oracle(n):
 
 @pytest.mark.parametrize("n", range(4, 31))
 def test_gn_adjacency_matches_oracle(n):
-    adj = gn_adjacency(n)
+    adj = unpack(gn(n).rows, len(gn_chords(n)))
     assert adj.dtype == bool and adj.shape == (len(gn_chords(n)),) * 2
     assert (adj == adj.T).all()
     assert not adj.diagonal().any()

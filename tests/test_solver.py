@@ -372,6 +372,11 @@ def test_solver_config_validation():
     # the interval, so a fraction would never be hit and the budget ignored.
     with pytest.raises(ValueError):
         SolverConfig(backtrack_check_interval=1.5)
+    # The seed draws numpy's tie order, which takes only a non-negative int;
+    # the config rejects any other before a search starts.
+    for seed in (-1, 1.5, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
 
 
 # (family, n, k, seed) -> (status, backtracks, sha256 of the sorted witness),
