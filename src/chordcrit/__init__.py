@@ -49,7 +49,6 @@ from .criticality import (
     NotAnEdgeError,
     critical_coloring,
     min_based_coloring,
-    select_case,
     verify_edge_criticality,
     verify_vertex_criticality,
 )

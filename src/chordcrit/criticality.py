@@ -38,7 +38,8 @@ off that order:
   No run may hold an edge but the deleted one; a fresh colour (> n) is in
   no chord, so its run is its class.  An override of another colour that
   its chord lacks is checked against all of its neighbours, skipping the
-  deleted edge, by a (row, chord) lookup built only for such overrides;
+  deleted edge, by a (row, chord) lookup built only for such overrides.
+  Both tests tell the deleted edge by one predicate, either orientation;
 * the deleted edge's ends, each matched against its row's overrides or
   else min-based, get one colour;
 * colours used: the elements outside A that still colour a chord, and one
@@ -87,36 +88,6 @@ class CriticalCase(Enum):
     TRANSVERSE = "transverse"
 
 
-class CaseSelection(NamedTuple):
-    """Deleted-edge case with endpoint roles normalized.
-
-    For the crossing cases (a, b) x (c, d) satisfies a < c < b < d (and a = 1
-    in the with-1 case); for the transverse case (c, d) nests inside (a, b)
-    as 1 < a < c < d < b.
-    """
-
-    case: CriticalCase
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-def select_case(n: int, p: Chord, q: Chord) -> CaseSelection:
-    p = validate_chord(p, n)
-    q = validate_chord(q, n)
-    (a, b), (c, d) = sorted((p, q))
-    crossing, transverse = edge_pattern(a, b, c, d)
-    if crossing and a == 1:
-        return CaseSelection(CriticalCase.CROSSING_WITH_1, a, b, c, d)
-    if crossing:
-        return CaseSelection(CriticalCase.CROSSING_WITHOUT_1, a, b, c, d)
-    if transverse:
-        return CaseSelection(CriticalCase.TRANSVERSE, a, b, c, d)
-    cls = classify_pair(p, q, n)  # names the class of a non-edge
-    raise NotAnEdgeError(f"chords {p} and {q} form a {cls.value} pair, not an edge")
-
-
 def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
     """Partial colouring: chord {x, y} not inside A gets min({x, y} \\ A).
 
@@ -139,11 +110,12 @@ def min_based_coloring(n: int, A: set[int] | frozenset[int]) -> Coloring:
 _CASES = tuple(CriticalCase)
 
 # Each case's anchor set A, in increasing order, and its fresh classes, one
-# string of pairs per colour n+1, n+2, ...  Elements are named as in
-# CaseSelection, plus 1 and the transverse case's interior element
-# x = c+1, which exists since d-c >= 2.  Each pair is written smaller
-# element first, so it is a stable chord exactly when its elements are two
-# apart or more and it is not (1, n).
+# string of pairs per colour n+1, n+2, ...  The edge's chords are (a, b)
+# and (c, d), a < c, so a < c < b < d when they cross (a = 1 in the with-1
+# case) and 1 < a < c < d < b when transverse; 1 and the transverse case's
+# interior element x = c+1, which exists since d-c >= 2, are named too.
+# Each pair is written smaller element first, so it is a stable chord
+# exactly when its elements are two apart or more and it is not (1, n).
 _TEMPLATES = {
     CriticalCase.CROSSING_WITH_1: ("acbd", ("ac ab ad cb cd bd",)),
     CriticalCase.CROSSING_WITHOUT_1: (
@@ -196,8 +168,8 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
     """Certificates for the edges {p[r], q[r]} of gn(n), where p and q are
     (R, 2) arrays of chords, smaller element first.
 
-    Raises NotAnEdgeError, with ``select_case``'s message, for the first
-    row that is not a crossing or transverse pair.
+    Raises NotAnEdgeError, naming the pair's ``classify_pair`` class, for
+    the first row that is not a crossing or transverse pair.
     """
     swap = (q[:, 0] < p[:, 0])[:, None]
     ab, cd = np.where(swap, q, p), np.where(swap, p, q)
@@ -205,7 +177,10 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
     crossing, transverse = edge_pattern(a, b, c, d)
     if not np.all(crossing | transverse):
         r = int(np.argmin(crossing | transverse))
-        select_case(n, tuple(p[r].tolist()), tuple(q[r].tolist()))  # raises
+        p_r, q_r = tuple(p[r].tolist()), tuple(q[r].tolist())
+        cls = classify_pair(p_r, q_r, n).value
+        article = "an" if cls[0] in "aeiou" else "a"
+        raise NotAnEdgeError(f"chords {p_r} and {q_r} form {article} {cls} pair, not an edge")
     case = np.where(crossing, np.where(a == 1, 0, 1), 2)  # codes into _CASES
     # The named elements, in the columns of _NAMES: 1, a, b, c, d, x = c+1, 0.
     ones = np.ones_like(ab[:, :1])
@@ -222,16 +197,12 @@ def _certificate_batch(n: int, p: np.ndarray, q: np.ndarray) -> _Batch:
 
 
 def _row_certificate(n: int, batch: _Batch, r: int) -> CertificateColoring:
-    """Row r of a batch as a CertificateColoring.  A transverse row's A is
-    (1, a, c, x, d, b), increasing, so its interior element x is A[3]."""
+    """Row r of a batch as a CertificateColoring."""
     mine = batch.row == r
-    case = _CASES[batch.case[r]]
-    A = tuple(e for e in batch.A[r].tolist() if e)
     return CertificateColoring(
         n,
-        case,
-        A[3] if case is CriticalCase.TRANSVERSE else None,
-        A,
+        _CASES[batch.case[r]],
+        tuple(e for e in batch.A[r].tolist() if e),
         dict(zip(batch.chord[mine].tolist(), batch.color[mine].tolist())),
     )
 
@@ -331,7 +302,6 @@ class CertificateColoring:
 
     n: int
     case: CriticalCase
-    x: int | None
     A: tuple[int, ...]
     overrides: dict[int, int]
 
@@ -477,21 +447,25 @@ def _check(
     inside = np.bincount(row[~ov.outside], minlength=rows)
     total = inside == is_stable_pair(s, t, n).sum(axis=1)
     # Each end of the deleted edge: its override in the row, if any, else
-    # its min-based colour; and the run of that override (0: none).
+    # its min-based colour.
     e = np.stack([eu, ev])
     lo, hi = np.moveaxis(ends.take(e, axis=0), 2, 0)
     own = _min_colors(inA, np.arange(rows), lo, hi)[0]
     end, i = np.divmod(np.flatnonzero(chord == e.take(row, axis=1)), len(row))
     own[end, row[i]] = color[i]
-    run = np.zeros((2, rows), dtype=np.int64)
-    run[end, row[i]] = np.cumsum(ov.start)[i]
     # A total certificate colours every chord.
     mono = total & (own[0] == own[1])
+
+    def deleted(r, v, w):
+        """Whether v-w is row r's deleted edge, in either orientation."""
+        return ((v == eu[r]) & (w == ev[r])) | ((v == ev[r]) & (w == eu[r]))
+
     # No run of overrides holds an edge but the deleted one.
     i, j = _run_pairs(ov.start)
-    joined = row[i[adj.take(chord[i] * m + chord[j])]]
-    deleted = (run[0] == run[1]) & (run[0] > 0)
-    proper = total & (np.bincount(joined, minlength=rows) == deleted)
+    k = np.flatnonzero(adj.take(chord[i] * m + chord[j]))
+    r, v, w = row[i[k]], chord[i[k]], chord[j[k]]
+    proper = total.copy()
+    proper[r[~deleted(r, v, w)]] = False
     # An override of colour c <= n that its chord lacks, against every
     # neighbour but the other end of the deleted edge.
     lacks = (color <= n) & (color != ov.lo) & (color != ov.hi)
@@ -507,8 +481,7 @@ def _check(
         over = keys[at] == r * m + w
         own, has = _min_colors(inA, r, *ends.take(w, axis=0).T)
         same = (over | has) & (np.where(over, color[at], own) == c)
-        deleted = ((v == eu[r]) & (w == ev[r])) | ((v == ev[r]) & (w == eu[r]))
-        proper[r[same & ~deleted]] = False
+        proper[r[same & ~deleted(r, v, w)]] = False
     return proper, mono, total, _count_colors(n, inA, ov)
 
 

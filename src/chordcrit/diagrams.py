@@ -22,8 +22,6 @@ def _point(i: int, n: int, cx: float, cy: float, r: float) -> tuple[float, float
 
 
 def _grey_shades(count: int) -> list[str]:
-    if count <= 0:
-        return []
     if count == 1:
         return ["#333333"]
     shades = []

@@ -17,7 +17,6 @@ from chordcrit.criticality import (
     CertificateColoring,
     CriticalCase,
     EdgeCertRow,
-    select_case,
 )
 from chordcrit.families import chord_label, gn, gn_chords
 from chordcrit.graph import Edge, Graph, build_graph, edge
@@ -205,7 +204,7 @@ def full_scan_rows(n: int) -> list[EdgeCertRow]:
         ok = total and proper and endpoints_mono and colors_used <= n - 3
         rows.append(EdgeCertRow(
             edge=label,
-            case=cert.case.value,
+            case=brute_case(p, q).value,
             colors_used=colors_used,
             proper=proper,
             endpoints_monochromatic=endpoints_mono,
@@ -231,23 +230,37 @@ def per_edge_rows(n: int) -> list[EdgeCertRow]:
     return [_walk_rows(n, g, chords, e) for e in g.edges()]
 
 
+def brute_case(p: tuple[int, int], q: tuple[int, int]) -> CriticalCase:
+    """The certificate case of the edge {p, q}, from ``brute_pair_class``:
+    a crossing pair is crossing-with-1 when it has element 1, and a
+    transverse pair is transverse.  Raises ValueError for a non-edge."""
+    cls = brute_pair_class(p, q)
+    if cls == "crossing":
+        if 1 in p + q:
+            return CriticalCase.CROSSING_WITH_1
+        return CriticalCase.CROSSING_WITHOUT_1
+    if cls == "transverse":
+        return CriticalCase.TRANSVERSE
+    raise ValueError(f"chords {p} and {q} are {cls}, not an edge")
+
+
 def scalar_certificate(n: int, p, q) -> CertificateColoring:
     """The certificate of the edge {p, q} of gn(n), built for that edge
     alone from its case's anchor set A and fresh classes.
 
-    A is every element the case names, in increasing order: a < c < b < d
-    in the crossing cases, after 1 when a > 1, and 1 < a < c < x < d < b
-    with x = c+1 in the transverse one.  Each pair below is written smaller
-    element first; the stable ones, two apart or more and not (1, n), get
-    the fresh colours n+1, n+2, ... class by class.
+    The case comes from ``brute_case``.  A is every element the case
+    names, in increasing order: a < c < b < d in the crossing cases, after
+    1 when a > 1, and 1 < a < c < x < d < b with x = c+1 in the transverse
+    one.  Each pair below is written smaller element first; the stable
+    ones, two apart or more and not (1, n), get the fresh colours n+1,
+    n+2, ... class by class.
     """
-    sel = select_case(n, p, q)
-    a, b, c, d = sel.a, sel.b, sel.c, sel.d
-    x = None
-    if sel.case is CriticalCase.CROSSING_WITH_1:
+    case = brute_case(p, q)
+    (a, b), (c, d) = sorted((p, q))
+    if case is CriticalCase.CROSSING_WITH_1:
         A = (a, c, b, d)
         classes = [list(combinations(A, 2))]
-    elif sel.case is CriticalCase.CROSSING_WITHOUT_1:
+    elif case is CriticalCase.CROSSING_WITHOUT_1:
         A = (1, a, c, b, d)
         classes = [
             [(1, a), (1, b), (1, c), (1, d), (c, b), (b, d)],
@@ -268,7 +281,7 @@ def scalar_certificate(n: int, p, q) -> CertificateColoring:
         for s, t in pairs
         if t - s > 1 and (s > 1 or t < n)
     }
-    return CertificateColoring(n, sel.case, x, A, overrides)
+    return CertificateColoring(n, case, A, overrides)
 
 
 @lru_cache(maxsize=None)

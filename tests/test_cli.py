@@ -198,6 +198,18 @@ def test_diagram_certificate_output_is_pinned(capsys, n, edge):
     assert sha256(out) == PINNED["diagram_certificate"][f"{n}/{edge}"]
 
 
+@pytest.mark.parametrize("edge, message", [
+    ("13,46", "chords (1, 3) and (4, 6) form a lateral pair, not an edge"),
+    ("15,24", "chords (1, 5) and (2, 4) form a nested-through-1 pair, not an edge"),
+    ("13,35", "chords (1, 3) and (3, 5) form an intersecting pair, not an edge"),
+    ("13,13", "pair classification needs two distinct chords"),
+])
+def test_diagram_certificate_of_non_edge_is_param_error(capsys, edge, message):
+    code, out, err = run(capsys, "diagram", "--n", "6", "--certificate-edge", edge)
+    assert code == EXIT_PARAM
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_diagram_no_chords_is_param_error(capsys):
     code, _, err = run(capsys, "diagram", "--n", "6")
     assert code == EXIT_PARAM

@@ -11,7 +11,6 @@ from chordcrit.criticality import (
     NotAnEdgeError,
     critical_coloring,
     min_based_coloring,
-    select_case,
     verify_edge_criticality,
     verify_vertex_criticality,
 )
@@ -95,34 +94,34 @@ def classes_by_special(n, cert):
 
 
 def test_select_case_crossing_with_1():
-    sel = select_case(6, (1, 3), (2, 4))
-    assert sel.case is CriticalCase.CROSSING_WITH_1
-    assert (sel.a, sel.c, sel.b, sel.d) == (1, 2, 3, 4)
+    cert = critical_coloring(6, (1, 3), (2, 4))
+    assert cert.case is CriticalCase.CROSSING_WITH_1
+    assert cert.A == (1, 2, 3, 4)  # (a, c, b, d)
 
 
 def test_select_case_crossing_without_1():
-    sel = select_case(7, (2, 4), (3, 5))
-    assert sel.case is CriticalCase.CROSSING_WITHOUT_1
-    assert (sel.a, sel.c, sel.b, sel.d) == (2, 3, 4, 5)
+    cert = critical_coloring(7, (2, 4), (3, 5))
+    assert cert.case is CriticalCase.CROSSING_WITHOUT_1
+    assert cert.A == (1, 2, 3, 4, 5)  # (1, a, c, b, d)
 
 
 def test_select_case_transverse():
-    sel = select_case(6, (2, 6), (3, 5))
-    assert sel.case is CriticalCase.TRANSVERSE
-    assert (sel.a, sel.c, sel.d, sel.b) == (2, 3, 5, 6)
+    cert = critical_coloring(6, (2, 6), (3, 5))
+    assert cert.case is CriticalCase.TRANSVERSE
+    assert cert.A == (1, 2, 3, 4, 5, 6)  # (1, a, c, x, d, b)
 
 
 def test_select_case_argument_order_irrelevant():
-    assert select_case(6, (3, 5), (2, 6)) == select_case(6, (2, 6), (3, 5))
+    assert critical_coloring(6, (3, 5), (2, 6)) == critical_coloring(6, (2, 6), (3, 5))
 
 
 def test_select_case_rejects_non_edges():
     with pytest.raises(NotAnEdgeError):
-        select_case(6, (1, 3), (4, 6))  # lateral
+        critical_coloring(6, (1, 3), (4, 6))  # lateral
     with pytest.raises(NotAnEdgeError):
-        select_case(6, (1, 5), (2, 4))  # nested through 1
+        critical_coloring(6, (1, 5), (2, 4))  # nested through 1
     with pytest.raises(NotAnEdgeError):
-        select_case(6, (1, 3), (3, 5))  # intersecting
+        critical_coloring(6, (1, 3), (3, 5))  # intersecting
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -131,7 +130,7 @@ def test_select_case_exhaustive_over_edges_and_non_edges(n):
     for p, q in combinations(chords, 2):
         cls = classify_pair(p, q, n)
         if cls in (PairClass.CROSSING, PairClass.TRANSVERSE):
-            sel = select_case(n, p, q)
+            cert = critical_coloring(n, p, q)
             expected = {
                 PairClass.CROSSING: (
                     CriticalCase.CROSSING_WITH_1
@@ -140,10 +139,10 @@ def test_select_case_exhaustive_over_edges_and_non_edges(n):
                 ),
                 PairClass.TRANSVERSE: CriticalCase.TRANSVERSE,
             }[cls]
-            assert sel.case is expected
+            assert cert.case is expected
         else:
             with pytest.raises(NotAnEdgeError):
-                select_case(n, p, q)
+                critical_coloring(n, p, q)
 
 
 def test_min_based_coloring_examples():
@@ -186,7 +185,6 @@ def test_case1_certificate_n6():
     cert = critical_coloring(6, (1, 3), (2, 4))
     assert cert.case is CriticalCase.CROSSING_WITH_1
     assert cert.A == (1, 2, 3, 4)
-    assert cert.x is None
     assert cert.colors_used == 3
     classes = classes_by_special(6, cert)
     assert classes["l1"] == [(1, 3), (1, 4), (2, 4)]
@@ -200,8 +198,8 @@ def test_case1_certificate_n6():
 def test_case3_certificate_n6_matches_stated_classes():
     cert = critical_coloring(6, (2, 6), (3, 5))
     assert cert.case is CriticalCase.TRANSVERSE
-    assert cert.x == 4
     assert cert.A == (1, 2, 3, 4, 5, 6)
+    assert cert.A[3] == 3 + 1  # x = c+1
     assert cert.colors_used == 3
     classes = classes_by_special(6, cert)
     assert classes["l1"] == [(1, 4), (1, 5), (2, 4)]
@@ -269,9 +267,11 @@ def test_case3_inner_chord_admits_an_interior_element(n):
         p, q = chords[e.u], chords[e.v]
         if classify_pair(p, q, n) is not PairClass.TRANSVERSE:
             continue
-        sel = select_case(n, p, q)
-        assert sel.d - sel.c >= 2
-        assert sel.c < sel.c + 1 < sel.d
+        one, a, c, x, d, b = critical_coloring(n, p, q).A
+        assert {(a, b), (c, d)} == {p, q}
+        assert d - c >= 2
+        assert (one, x) == (1, c + 1)
+        assert a < c < x < d < b
 
 
 @pytest.mark.parametrize("n", range(4, 7))
@@ -400,7 +400,8 @@ def test_sweep_matches_full_scan_oracle(n):
 @pytest.mark.parametrize("n", range(4, 15))
 def test_certificates_match_scalar_construction(n):
     """The batch construction, read one row at a time, builds the same
-    case, x, A and overrides as the edge-by-edge construction."""
+    case, A and overrides as the edge-by-edge construction, whose case
+    comes from the brute-force pair class."""
     g = gn(n)
     chords = gn_chords(n)
     for e in g.edges():
