@@ -35,9 +35,10 @@ no colour to try passes its own blamed depths on.  The jumps skip only
 branches that hold no colouring, so the search returns the status and
 witness of one that steps up one depth at a time, in no more backtracks:
 G_10's "no" at k = 7 takes 1,685 of them, against 5,291.  The neighbourhood
-masks are ``Graph.rows`` permuted into that order, built once per call; the
-clique is grown on them and every search of the call reads them.
-``greedy_bound`` breaks ties by vertex id, so it builds its own.
+masks are ``Graph.rows`` permuted into that order, built once per call, and
+every search of the call reads them; ``clique_bound`` grows the clique on
+``Graph.rows`` as they are.  ``greedy_bound`` breaks ties by vertex id, so it
+builds its own.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -113,25 +115,17 @@ def clique_bound(g: Graph) -> list[int]:
     """A clique grown greedily from the vertex of highest degree.
 
     Each step adds the candidate with the most neighbours among the
-    candidates, then the highest degree, then the lowest id.  Its size is a
-    valid lower bound on the chromatic number.  The searches grow the same
-    clique on their own masks; this grows it on the identity numbering,
-    whose masks are ``g.rows``.
-    """
-    return _clique(g, g.rows, range(g.n))
-
-
-def _clique(g: Graph, adjm: Sequence[int], order: Sequence[int]) -> list[int]:
-    """``clique_bound(g)`` grown on ``adjm = _masks(g, order)``.
-
-    Every vertex starts as a candidate, so the first step picks the vertex
-    of highest degree, then lowest id.  Returns sorted vertex ids.
+    candidates, then the highest degree, then the lowest id, so it does not
+    depend on the positions a search numbers the vertices by.  Its size is a
+    valid lower bound on the chromatic number; every search places it first.
+    Returns sorted vertex ids.
     """
     n = g.n
+    rows = g.rows
     # The key (neighbours among the candidates, degree, -id) as one int:
     # degree * n + n - 1 - id is below n * n, and distinct for each vertex.
     span = n * n
-    tie = [g.degree(v) * n + n - 1 - v for v in order]
+    tie = [g.degree(v) * n + n - 1 - v for v in range(n)]
     clique = []
     cands = (1 << n) - 1
     while cands:
@@ -139,13 +133,13 @@ def _clique(g: Graph, adjm: Sequence[int], order: Sequence[int]) -> list[int]:
         rest = cands
         while rest:
             low = rest & -rest
-            p = low.bit_length() - 1
-            key = (adjm[p] & cands).bit_count() * span + tie[p]
+            v = low.bit_length() - 1
+            key = (rows[v] & cands).bit_count() * span + tie[v]
             if key > best:
-                best, q = key, p
+                best, q = key, v
             rest ^= low
-        clique.append(order[q])
-        cands &= adjm[q]
+        clique.append(q)
+        cands &= rows[q]
     return sorted(clique)
 
 
@@ -155,15 +149,18 @@ def is_k_colorable(
     """Decide k-colourability by complete search; "no" is exhaustive.
 
     Time budget exhaustion is reported as status "timeout", distinct from a
-    proved "no".
+    proved "no".  k is anything ``operator.index`` takes, at least 0.
     """
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError("k must be an int >= 0") from None
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ValueError("k must be an int >= 0")
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_budget
     order = _order(g, cfg.seed)
-    adjm = _masks(g, order)
-    return _search(adjm, order, k, _clique(g, adjm, order), deadline,
+    return _search(_masks(g, order), order, k, clique_bound(g), deadline,
                    cfg.backtrack_check_interval)
 
 
@@ -352,7 +349,7 @@ def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResu
     deadline = time.monotonic() + cfg.time_budget
     order = _order(g, cfg.seed)
     adjm = _masks(g, order)
-    clique = _clique(g, adjm, order)
+    clique = clique_bound(g)
     lower = len(clique)
     witness = greedy_bound(g)
     upper = count_colors(witness)

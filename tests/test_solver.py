@@ -133,22 +133,17 @@ def test_masks_are_adjacency_under_any_numbering():
             assert masks[i] == sum(1 << pos[w] for w in g.neighbors(v)), (g.n, v)
 
 
-def test_clique_grows_on_any_numbering():
-    rng = random.Random(2011)
-    for g in _mask_corpus():
-        order = list(range(g.n))
-        rng.shuffle(order)
-        assert solver._clique(g, solver._masks(g, order), order) == clique_bound(g)
-
-
 def test_clique_matches_max_key_rule_on_any_numbering():
+    # The oracle grows its clique on shuffled masks; clique_bound, on the
+    # identity numbering, must find the same one under every shuffle.
     rng = random.Random(2013)
     for g in _mask_corpus():
+        clique = clique_bound(g)
         for _ in range(3):
             order = list(range(g.n))
             rng.shuffle(order)
             adjm = solver._masks(g, order)
-            assert solver._clique(g, adjm, order) == max_key_clique(g, adjm, order)
+            assert clique == max_key_clique(g, adjm, order), g.n
 
 
 def test_tie_order_is_the_seeds_permutation():
@@ -199,8 +194,16 @@ def test_is_k_colorable_edge_cases():
     assert is_k_colorable(edgeless_graph(0), 0).status == "yes"
     assert is_k_colorable(edgeless_graph(3), 0).status == "no"
     assert is_k_colorable(edgeless_graph(3), 1).status == "yes"
-    with pytest.raises(ValueError):
-        is_k_colorable(cycle_graph(3), -1)
+
+
+@pytest.mark.parametrize("k", [2.0, 3.5, "3", None, -1])
+def test_is_k_colorable_rejects_k_that_is_no_int_at_least_0(k):
+    with pytest.raises(ValueError, match=r"^k must be an int >= 0$"):
+        is_k_colorable(gn(6), k)
+
+
+def test_is_k_colorable_takes_any_index():
+    assert is_k_colorable(gn(6), np.int64(4)) == is_k_colorable(gn(6), 4)
 
 
 def test_counters_do_not_grow_with_k():
@@ -277,13 +280,13 @@ def test_timeout_overshoot_is_bounded():
 def test_time_budget_covers_setup(monkeypatch):
     # The clique alone outlasts the budget, so the search stops at its first
     # clock read, and chromatic_number before its first search.
-    original = solver._clique
+    original = solver.clique_bound
 
-    def slow(g, *rest):
+    def slow(g):
         time.sleep(0.2)
-        return original(g, *rest)
+        return original(g)
 
-    monkeypatch.setattr(solver, "_clique", slow)
+    monkeypatch.setattr(solver, "clique_bound", slow)
     cfg = SolverConfig(time_budget=0.1, backtrack_check_interval=1)
     out = is_k_colorable(gn(11), 8, cfg)
     assert (out.status, out.backtracks) == ("timeout", 1)
@@ -305,17 +308,21 @@ def test_chromatic_number_of_mycielski_iterates(k):
 
 
 def test_chromatic_number_computes_clique_once(monkeypatch):
+    # Both entry points place the module-level clique_bound, once per call.
     calls = []
-    original = solver._clique
+    original = solver.clique_bound
 
-    def counting(g, *rest):
+    def counting(g):
         calls.append(g.n)
-        return original(g, *rest)
+        return original(g)
 
-    monkeypatch.setattr(solver, "_clique", counting)
+    monkeypatch.setattr(solver, "clique_bound", counting)
     res = chromatic_number(gn(8))
     assert (res.chi, res.status) == (6, "exact")
     assert calls == [gn(8).n]
+    calls.clear()
+    assert is_k_colorable(gn(9), 6).status == "no"
+    assert calls == [gn(9).n]
 
 
 def test_chromatic_number_of_petersen():
@@ -327,6 +334,18 @@ def test_chromatic_number_matches_enumeration(name, g):
     res = chromatic_number(g)
     assert res.status == "exact"
     assert res.chi == brute_chromatic(g), name
+
+
+def test_chromatic_lower_bound_witness_is_clique_bound():
+    graphs = ([gn(n) for n in range(4, 11)]
+              + [schrijver(n, 2) for n in range(5, 8)]
+              + [mycielski_iter(k) for k in range(2, 6)]
+              + [edgeless_graph(0), edgeless_graph(4)])
+    for g in graphs:
+        clique = tuple(clique_bound(g))
+        for seed in range(3):
+            res = chromatic_number(g, SolverConfig(seed=seed))
+            assert res.lower_bound_witness == clique, (g.n, seed)
 
 
 def test_chromatic_lower_bound_witness_is_clique():
@@ -470,7 +489,7 @@ def test_search_matches_reference_loop():
     for g, seed in _reference_cases():
         order = solver._order(g, seed)
         adjm = solver._masks(g, order)
-        clique = solver._clique(g, adjm, order)
+        clique = solver.clique_bound(g)
         for k in range(9):
             for prefix in (clique, []):
                 _assert_jumps_within_reference(adjm, order, k, prefix)
@@ -502,7 +521,7 @@ def test_search_matches_reference_loop_on_random_graphs():
                 for seed in (0, 1):
                     order = solver._order(g, seed)
                     adjm = solver._masks(g, order)
-                    clique = solver._clique(g, adjm, order)
+                    clique = solver.clique_bound(g)
                     for k in ks(len(clique)):
                         for prefix in (clique, []):
                             saved += _assert_jumps_within_reference(
@@ -517,7 +536,7 @@ def test_search_timeouts_match_reference_loop():
     g = gn(9)
     order = solver._order(g, 0)
     adjm = solver._masks(g, order)
-    clique = solver._clique(g, adjm, order)
+    clique = solver.clique_bound(g)
     for interval in [*range(1, 80), 495, 496, 497]:
         new, old = _both_searches(adjm, order, 6, clique, 0.0, interval)
         if interval <= 496:
