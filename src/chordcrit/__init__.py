@@ -15,7 +15,6 @@ from .graph import (
     edge,
     export_graph,
     is_proper_coloring,
-    parse_graph,
 )
 from .families import (
     Chord,

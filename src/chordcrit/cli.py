@@ -27,7 +27,7 @@ from .families import (
     parse_chord,
     schrijver,
 )
-from .graph import export_graph
+from .graph import EXPORT_FORMATS, export_graph
 from .homomorphism import lower_bound_chain
 from .pairs import count_pairs
 from .solver import SolverConfig, chromatic_number
@@ -146,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--n", type=int, default=None)
     gen.add_argument("--k", type=int, default=2)
-    gen.add_argument(
-        "--format", choices=("dimacs", "edgelist", "structured"), default="dimacs"
-    )
+    gen.add_argument("--format", choices=EXPORT_FORMATS, default="dimacs")
     gen.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run a verification sweep")

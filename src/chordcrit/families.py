@@ -94,13 +94,13 @@ def chord_label(elems: tuple[int, ...]) -> str:
 def parse_chord(text: str, n: int) -> Chord:
     """Inverse of chord_label; also accepts 'a-b' for single-digit chords."""
     text = text.strip()
-    if "-" in text:
-        left, _, right = text.partition("-")
+    left, dash, right = text.partition("-")
+    if not dash and len(text) == 2:
+        left, right = text
+    try:
         p = (int(left), int(right))
-    elif len(text) == 2 and text.isdigit():
-        p = (int(text[0]), int(text[1]))
-    else:
-        raise InvalidParametersError(f"cannot parse chord {text!r}")
+    except ValueError:
+        raise InvalidParametersError(f"cannot parse chord {text!r}") from None
     return validate_chord(p, n)
 
 

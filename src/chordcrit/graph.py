@@ -24,10 +24,6 @@ class MissingEdgeError(KeyError):
     """An operation named an edge that is not in the graph."""
 
 
-class GraphFormatError(ValueError):
-    """A serialized graph record could not be parsed."""
-
-
 class Edge(NamedTuple):
     u: int
     v: int
@@ -206,69 +202,3 @@ def export_graph(g: Graph, format: str = "dimacs") -> str:
     else:
         raise ValueError(f"unknown format {format!r}; expected one of {EXPORT_FORMATS}")
     return "\n".join(lines) + "\n"
-
-
-def _field_int(text: str, ln: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise GraphFormatError(f"non-integer field {text!r} in {ln!r}") from None
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse a structured-format record back into a Graph.
-
-    Every malformed record raises GraphFormatError.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != STRUCTURED_HEADER:
-        raise GraphFormatError(f"missing header {STRUCTURED_HEADER!r}")
-    if lines[-1] != "end":
-        raise GraphFormatError("missing 'end' terminator")
-    body = lines[1:-1]
-    n: int | None = None
-    n_hint: int | None = None
-    labels: dict[int, str] = {}
-    adj: dict[int, list[int]] = {}
-    headers: set[str] = set()
-    for ln in body:
-        key, _, rest = ln.partition(" ")
-        if key in ("vertices", "n_hint"):
-            if key in headers:
-                raise GraphFormatError(f"repeated {key} record")
-            headers.add(key)
-        if key == "vertices":
-            n = _field_int(rest, ln)
-            if n < 0:
-                raise GraphFormatError(f"negative vertex count in {ln!r}")
-        elif key == "n_hint":
-            n_hint = None if rest == "-" else _field_int(rest, ln)
-        elif key == "label":
-            idx, _, lbl = rest.partition(" ")
-            i = _field_int(idx, ln)
-            if i in labels:
-                raise GraphFormatError(f"repeated label for vertex {i}")
-            labels[i] = lbl
-        elif key == "adj":
-            ids = [_field_int(p, ln) for p in rest.split()]
-            if not ids:
-                raise GraphFormatError(f"adj record without a vertex id: {ln!r}")
-            if ids[0] in adj:
-                raise GraphFormatError(f"repeated adj record for vertex {ids[0]}")
-            adj[ids[0]] = ids[1:]
-        else:
-            raise GraphFormatError(f"unknown record line {ln!r}")
-    if n is None or sorted(labels) != list(range(n)) or sorted(adj) != list(range(n)):
-        raise GraphFormatError("incomplete structured record")
-    if len(set(labels.values())) != n:
-        raise GraphFormatError("vertex labels must be unique")
-    edges = [(u, v) for u, nbrs in adj.items() for v in nbrs if u < v]
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            if v == u:
-                raise GraphFormatError(f"self-loop at {u}")
-            if v not in adj:
-                raise GraphFormatError(f"neighbour {v} of {u} is not a vertex")
-            if u not in adj[v]:
-                raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
-    return build_graph([labels[i] for i in range(n)], edges, n_hint)

@@ -47,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from operator import index
 from typing import Sequence
 
@@ -67,6 +68,8 @@ class SolverConfig:
     backtrack_check_interval: int = 1_024
 
     def __post_init__(self) -> None:
+        if not isinstance(self.time_budget, Real):
+            raise ValueError("time_budget must be a real number")
         if not self.time_budget > 0:  # also rejects NaN
             raise ValueError("time_budget must be positive")
         # numpy's generator takes only a non-negative seed.

@@ -397,6 +397,25 @@ def set_mycielski(g: Graph) -> tuple[int, ...]:
     return tuple(sum(1 << w for w in a) for a in sets)
 
 
+def read_structured(text: str) -> Graph:
+    """The graph a structured export describes, read record by record with
+    no validation: the round trip through it checks the export alone."""
+    n, n_hint, labels, edges = 0, None, {}, []
+    for ln in text.splitlines():
+        key, _, rest = ln.partition(" ")
+        if key == "vertices":
+            n = int(rest)
+        elif key == "n_hint":
+            n_hint = None if rest == "-" else int(rest)
+        elif key == "label":
+            i, _, lbl = rest.partition(" ")
+            labels[int(i)] = lbl
+        elif key == "adj":
+            u, *nbrs = map(int, rest.split())
+            edges += [(u, v) for v in nbrs]
+    return build_graph([labels[i] for i in range(n)], edges, n_hint)
+
+
 def brute_hom_violations(G: Graph, H: Graph, mapping) -> tuple[Edge, ...]:
     """Edges of G whose images are not adjacent in H, in ``G.edges()`` order."""
     return tuple(e for e in G.edges() if not H.has_edge(mapping[e.u], mapping[e.v]))

@@ -3,9 +3,9 @@ import pytest
 from chordcrit import cli
 from chordcrit.cli import EXIT_OK, EXIT_PARAM, EXIT_TIMEOUT, EXIT_VERIFY_FAIL, _exit_code, main
 from chordcrit.criticality import verify_edge_criticality
-from chordcrit.graph import parse_graph
 
 from helpers import PINNED, sha256
+from oracles import read_structured
 
 
 def run(capsys, *argv):
@@ -25,7 +25,7 @@ def test_generate_gn_dimacs(capsys):
 def test_generate_mycielski_structured(capsys):
     code, out, _ = run(capsys, "generate", "mycielski_k", "--k", "4", "--format", "structured")
     assert code == EXIT_OK
-    g = parse_graph(out)
+    g = read_structured(out)
     assert (g.n, g.edge_count) == (11, 20)
 
 
@@ -213,6 +213,12 @@ def test_diagram_certificate_of_non_edge_is_param_error(capsys, edge, message):
 def test_diagram_no_chords_is_param_error(capsys):
     code, _, err = run(capsys, "diagram", "--n", "6")
     assert code == EXIT_PARAM
+
+
+def test_diagram_malformed_chord_is_param_error(capsys):
+    code, out, err = run(capsys, "diagram", "--n", "6", "--chords", "1-x")
+    assert code == EXIT_PARAM == 2
+    assert (out, err) == ("", "error: cannot parse chord '1-x'\n")
 
 
 def test_repeated_runs_are_byte_identical(capsys):

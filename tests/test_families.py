@@ -321,8 +321,17 @@ def test_chord_labels():
     assert chord_label((2, 5, 11)) == "2-5-11"
     assert parse_chord("26", 8) == (2, 6)
     assert parse_chord("2-13", 15) == (2, 13)
+    assert [parse_chord(t, 15) for t in (" 26 ", "2-05", "+2-5")] == [(2, 6), (2, 5), (2, 5)]
     with pytest.raises(InvalidParametersError):
         parse_chord("12", 8)  # consecutive, not a chord
+
+
+@pytest.mark.parametrize("text", ["1-x", "-13", "1-", "1-2-3", "\u00b26"])
+def test_parse_chord_rejects_malformed_text(text):
+    # "\u00b26" is "²6": str.isdigit accepts the superscript, int() does not.
+    with pytest.raises(InvalidParametersError) as err:
+        parse_chord(text, 15)
+    assert str(err.value) == f"cannot parse chord {text!r}"
 
 
 def test_mycielski_of_k2_is_c5():

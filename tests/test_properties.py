@@ -16,12 +16,11 @@ from chordcrit.graph import (
     delete_edge,
     export_graph,
     is_proper_coloring,
-    parse_graph,
 )
 from chordcrit.solver import SolverConfig, is_k_colorable
 
 from helpers import min_based_conflicts, run_min_based_trials
-from oracles import brute_is_k_colorable, brute_proper
+from oracles import brute_is_k_colorable, brute_proper, read_structured
 
 
 @st.composite
@@ -70,7 +69,7 @@ def test_delete_edge_invariants(g):
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_structured_round_trip(g):
-    assert parse_graph(export_graph(g, "structured")) == g
+    assert read_structured(export_graph(g, "structured")) == g
 
 
 @given(graphs(max_n=8), st.data())

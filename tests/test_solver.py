@@ -381,10 +381,15 @@ def test_empty_graph_chromatic():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=0)
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=float("nan"))
+    for budget in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="time_budget must be positive"):
+            SolverConfig(time_budget=budget)
+    # A budget that is not a real number is refused by name, not left to
+    # fail later in a comparison with a bare TypeError.
+    for budget in ("60", None, 1 + 0j):
+        with pytest.raises(ValueError, match="time_budget must be a real number"):
+            SolverConfig(time_budget=budget)
+    assert SolverConfig(time_budget=float("inf")).time_budget == float("inf")
     with pytest.raises(ValueError):
         SolverConfig(backtrack_check_interval=0)
     # The search tests its backtrack count for equality with multiples of
