@@ -31,14 +31,19 @@ back by conflict-directed backjumping (Prosser 1993): it blames the depths
 whose colours forbade the pick its colours, goes back in one step to the
 deepest of them, past depths whose other colours could not help, and
 counts one backtrack for each depth it leaves.  Each depth it leaves with
-no colour to try passes its own blamed depths on.  The jumps skip only
-branches that hold no colouring, so the search returns the status and
-witness of one that steps up one depth at a time, in no more backtracks:
-G_10's "no" at k = 7 takes 1,685 of them, against 5,291.  The neighbourhood
-masks are ``Graph.rows`` permuted into that order, built once per call, and
-every search of the call reads them; ``clique_bound`` grows the clique on
-``Graph.rows`` as they are.  ``greedy_bound`` breaks ties by vertex id, so it
-builds its own.
+no colour to try passes its own blamed depths on.  The bits each depth's
+colour forbade are packed into one int, V bits a depth for V vertices, so
+one shift and one mask read the depths to blame; each placement that
+forbids a bit and each jump rewrites that int, O(depth * V) bits, which
+costs little at any size an exhaustive search finishes (G_14 has 77
+vertices) and ~1 ms of the ~8 ms greedy descent of G_60's 1,710.  The
+jumps skip only branches that hold no colouring, so the search returns the
+status and witness of one that steps up one depth at a time, in no more
+backtracks: G_10's "no" at k = 7 takes 1,685 of them, against 5,291.  The
+neighbourhood masks are ``Graph.rows`` permuted into that order, built once
+per call, and every search of the call reads them; ``clique_bound`` grows
+the clique on ``Graph.rows`` as they are.  ``greedy_bound`` breaks ties by
+vertex id, so it builds its own.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ class SolverConfig:
     time_budget: float = 60.0
     seed: int = 0
     # Timeout granularity: the wall clock is read once per this many
-    # backtracks, never per node (every 2-5 ms at 1024: G_11's 13,438
-    # backtracks take ~0.05 s, G_12's 45,177 ~0.2 s on a 2-vCPU Xeon).
+    # backtracks, never per node (every ~1 ms at 1024: G_11's 13,438
+    # backtracks take ~0.014 s, G_12's 45,177 ~0.05 s on a 2-vCPU Xeon).
     backtrack_check_interval: int = 1_024
 
     def __post_init__(self) -> None:
@@ -209,9 +214,16 @@ def _search(
     max_used, planes and uncolored as they were before d was placed); carry
     is the bits d's colour added to forb[c], so each colour forbidden to a
     position is blamed on the one depth whose carry holds its bit.
-    ``_blame`` scans the carries for them, at dead ends only, and skips the
-    clique prefix, which no jump resumes.  conflicts[d] masks depths below
-    d and is zero when d is placed.
+    ``packed`` holds every carry on the stack, depth d's at bits d*n up to
+    d*n + n - 1, and ``stride`` has bit d*n set for each depth d, so the
+    depths that forbade position q a colour are ``packed >> q & stride``:
+    bit d*n for depth d.  Sets of depths (blamed, conflicts[d]) are kept in
+    that form, and the deepest of a set is its bit_length() - 1 over n.  A
+    placement ORs its carry in and a jump to depth a cuts packed to the
+    depths under a; each costs O(depth * n) bits.  A blame may name depths
+    in the clique prefix, which no jump resumes: once no other is left the
+    answer is "no".  conflicts[d] masks depths below d and is zero when d
+    is placed.
 
     - A dead end comes only once all k colours are used (sat is at most
       max_used + 1), and it blames one depth per colour.
@@ -258,6 +270,14 @@ def _search(
     uncolored = (1 << n) - 1
     stack = []
     conflicts = [0] * n  # zero at every depth not on the stack
+    packed = 0  # depth d's carry in bits d*n .. d*n+n-1
+    # Bit d*n for each depth d of 0..n-1, doubled up from depth 0: 0.1 ms
+    # at n = 1,710, where dividing (2^(n*n) - 1) by (2^n - 1) takes 5 ms.
+    stride = span = 1
+    while span < n:
+        stride |= stride << span * n
+        span += span
+    stride &= (1 << n * n) - 1
 
     top = k - 1
     max_used = -1
@@ -287,12 +307,13 @@ def _search(
                     c += 1
                 left = limit - sat
             else:  # dead end: jump to the deepest depth it blames
-                blamed = _blame(stack, fixed, depth, cand & -cand)
-                to = blamed.bit_length() - 1
+                blamed = packed >> (cand & -cand).bit_length() - 1 & stride
+                to = (blamed.bit_length() - 1) // n
                 while to >= fixed and not stack[to][2]:  # no colour left
-                    blamed ^= 1 << to
-                    blamed |= conflicts[to] | _blame(stack, fixed, to, stack[to][0])
-                    to = blamed.bit_length() - 1
+                    below = (1 << to * n) - 1  # the depths under to
+                    p = stack[to][0].bit_length() - 1
+                    blamed = (blamed | packed >> p & stride) & below | conflicts[to]
+                    to = (blamed.bit_length() - 1) // n
                 backtracks += depth - max(to, fixed - 1)
                 while backtracks >= next_check:
                     if time.monotonic() >= deadline:
@@ -300,8 +321,9 @@ def _search(
                     next_check += interval
                 if to < fixed:
                     return ColorDecision("no", backtracks=backtracks)
-                conflicts[to] |= blamed ^ 1 << to
+                conflicts[to] |= blamed ^ 1 << to * n
                 conflicts[to + 1:depth] = [0] * (depth - to - 1)
+                packed &= (1 << to * n) - 1
                 for entry in stack[to:]:
                     forb[entry[1]] ^= entry[3]
                 bit, c, left, _, max_used, planes, uncolored = stack[to]
@@ -315,6 +337,7 @@ def _search(
         stack.append((bit, c, left, carry, max_used, planes, uncolored))
         uncolored ^= bit
         if carry:
+            packed |= carry << depth * n
             forb[c] |= carry
             planes = planes[:]
             i = low
@@ -328,16 +351,6 @@ def _search(
         depth += 1
     witness = dict(sorted((order[b.bit_length() - 1], c) for b, c, *_ in stack))
     return ColorDecision("yes", witness=witness, backtracks=backtracks)
-
-
-def _blame(stack: list[tuple], fixed: int, depth: int, bit: int) -> int:
-    """The depths in fixed..depth-1 whose colour first forbade it to ``bit``,
-    one per colour forbidden to it, as a mask: those whose carry holds it."""
-    blamed = 0
-    for d in range(fixed, depth):
-        if stack[d][3] & bit:
-            blamed |= 1 << d
-    return blamed
 
 
 def chromatic_number(g: Graph, cfg: SolverConfig | None = None) -> ChromaticResult:

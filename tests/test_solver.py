@@ -469,7 +469,10 @@ def _reference_cases():
              for n in range(4, 10) for i, e in enumerate(gn(n).edges())]
     others = ([schrijver(n, 2) for n in range(4, 9)]
               + [mycielski_iter(j) for j in range(2, 6)]
-              + [edgeless_graph(0), edgeless_graph(5)])
+              + [edgeless_graph(0), edgeless_graph(5)]
+              # One and two vertices: each depth's packed carry is one or
+              # two bits wide.
+              + [edgeless_graph(1), edgeless_graph(2), complete_graph(2)])
     return cases + [(g, seed) for g in others for seed in range(3)]
 
 
@@ -550,7 +553,8 @@ def test_search_timeouts_match_reference_loop():
             assert new == ("no", 496, None), interval
 
 
-@pytest.mark.parametrize("n,backtracks", [(9, 496), (10, 1685)])
+@pytest.mark.parametrize("n,backtracks",
+                         [(9, 496), (10, 1685), (11, 13438), (12, 45177)])
 def test_chromatic_number_reports_backtracks(n, backtracks):
     # The greedy bound is n - 2, so the only search is the "no" at n - 3.
     res = chromatic_number(gn(n))
